@@ -3,7 +3,10 @@ constraint filters and a persisted, greppable catalog format.
 
 Enumeration normalizes the bottom to index 0 and the top to index n-1;
 nothing downstream relies on that, since deduplication goes through the
-permutation-minimal canonical form.
+permutation-minimal canonical form.  That form starts with the new labels
+of zero and one, so only the relabelings sending zero to 0 and one to 1
+can give the minimum, and only those (n-2)! are tried.  Each form is
+computed once, during deduplication, and stored in the catalog entry.
 """
 
 from __future__ import annotations
@@ -29,25 +32,47 @@ KNOWN_CONSTRAINTS = ("contractive", "Cm", "P", "chain")
 def canonical_form(A: ModalRirig | FiniteRirig) -> bytes:
     """Minimum over all universe relabelings of the concatenated tables,
     with the 0/1 positions and modal tables included.  Two algebras are
-    isomorphic exactly when their forms agree."""
+    isomorphic exactly when their forms agree.
+
+    The payload starts ``[n, perm[zero], perm[one], ...]``, so a relabeling
+    that does not send zero to 0 and one to 1 (zero alone to 0 when
+    zero == one) has a larger second or third byte and is never the
+    minimum.  Only the orders of the remaining elements are tried, (n-2)!
+    instead of n!; the argument holds for any shape-valid tables, not only
+    for ririgs.
+    """
     if isinstance(A, FiniteRirig):
         A = bare(A)
     n = A.size
+    fixed = (A.zero,) if A.zero == A.one else (A.zero, A.one)
+    rest = [x for x in range(n) if x not in fixed]
+    tables = (A.join, A.prod, A.imp)
     best: Optional[bytes] = None
-    for perm in itertools.permutations(range(n)):
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
+    for order in itertools.permutations(rest):
+        inv = fixed + order             # inv[new label] = old element
+        perm = [0] * n
+        for p, x in enumerate(inv):
+            perm[x] = p
         payload = [n, perm[A.zero], perm[A.one], len(A.sig)]
-        for table in (A.join, A.prod, A.imp):
-            payload.extend(perm[table[inv[a]][inv[b]]]
-                           for a in range(n) for b in range(n))
+        for table in tables:
+            for a in inv:
+                row = table[a]
+                payload.extend(perm[row[b]] for b in inv)
         for t in A.modal_tables:
-            payload.extend(perm[t[inv[a]]] for a in range(n))
+            payload.extend(perm[t[a]] for a in inv)
         enc = bytes(payload)
         if best is None or enc < best:
             best = enc
     return best
+
+
+def _by_form(algebras) -> list[tuple[bytes, ModalRirig | FiniteRirig]]:
+    """One (canonical form, algebra) pair per isomorphism class among
+    `algebras`, keeping the first algebra met, in form order."""
+    seen = {}
+    for A in algebras:
+        seen.setdefault(canonical_form(A), A)
+    return [(form, seen[form]) for form in sorted(seen)]
 
 
 def _join_tables(n: int):
@@ -105,13 +130,13 @@ def enumerate_ririgs(n: int, cap: int = DEFAULT_SIZE_CAP) -> list[FiniteRirig]:
         raise ValueError("size must be >= 1")
     if n == 1:
         return [FiniteRirig(1, ((0,),), ((0,),), ((0,),), 0, 0)]
-    seen = {}
+    found = []
     for join in _join_tables(n):
         for prod, imp in _product_tables(n, join):
             A = FiniteRirig(n, join, prod, imp, 0, n - 1)
             assert validate_ririg(A).passed
-            seen.setdefault(canonical_form(A), A)
-    return [seen[form] for form in sorted(seen)]
+            found.append(A)
+    return [A for _, A in _by_form(found)]
 
 
 def _valid_modal_tables(A: FiniteRirig, constraints=()):
@@ -134,20 +159,22 @@ def enumerate_modal_expansions(A: FiniteRirig, k: int, constraints=(),
                                ) -> list[ModalRirig]:
     """All expansions of A by k modal tables, up to isomorphism of the
     expanded structure.  Constraint names: contractive, Cm."""
+    return [M for _, M in _expansions_by_form(A, k, constraints, modal_cap)]
+
+
+def _expansions_by_form(A: FiniteRirig, k: int, constraints,
+                        modal_cap: int) -> list[tuple[bytes, ModalRirig]]:
+    """The expansions of `enumerate_modal_expansions`, each paired with
+    its canonical form, in form order."""
     if k > modal_cap:
         raise ValueError(f"{k} modal symbols exceed cap {modal_cap}")
     unknown = set(constraints) - set(KNOWN_CONSTRAINTS)
     if unknown:
         raise ValueError(f"unknown constraints {sorted(unknown)}")
     sig = ModalSignature(tuple(f"m{i + 1}" for i in range(k)))
-    if k == 0:
-        return [ModalRirig(A, sig, ())]
-    singles = list(_valid_modal_tables(A, constraints))
-    seen = {}
-    for tables in itertools.product(singles, repeat=k):
-        M = ModalRirig(A, sig, tables)
-        seen.setdefault(canonical_form(M), M)
-    return [seen[form] for form in sorted(seen)]
+    singles = list(_valid_modal_tables(A, constraints)) if k else []
+    return _by_form(ModalRirig(A, sig, tables)
+                    for tables in itertools.product(singles, repeat=k))
 
 
 @dataclass(frozen=True)
@@ -162,12 +189,15 @@ class CatalogEntry:
     si: Optional[bool]
 
     @classmethod
-    def from_algebra(cls, A: ModalRirig) -> "CatalogEntry":
+    def from_algebra(cls, A: ModalRirig,
+                     form: Optional[bytes] = None) -> "CatalogEntry":
+        """Compute the entry's flags; `form`, when given, must be
+        `canonical_form(A)` and saves recomputing it."""
         from .filters import is_simple, is_subdirectly_irreducible
         trivial = A.size == 1
         return cls(
             algebra=A,
-            form=canonical_form(A),
+            form=canonical_form(A) if form is None else form,
             trivial=trivial,
             chain=is_chain(A),
             contractive=is_contractive(A),
@@ -199,9 +229,9 @@ def catalog_build(max_size: int, modals: int, constraints=(),
                 continue
             if "chain" in constraints and not is_chain(bare(base)):
                 continue
-            for M in enumerate_modal_expansions(base, modals, constraints,
-                                                modal_cap=modal_cap):
-                entries.append(CatalogEntry.from_algebra(M))
+            for form, M in _expansions_by_form(base, modals, constraints,
+                                               modal_cap):
+                entries.append(CatalogEntry.from_algebra(M, form=form))
     entries.sort(key=lambda e: (e.algebra.size, e.form))
     forms = [e.form for e in entries]
     assert len(forms) == len(set(forms))
@@ -254,24 +284,54 @@ def catalog_load(path) -> Catalog:
 
 
 def catalog_loads(text: str) -> Catalog:
-    lines = [line for line in text.splitlines() if line.strip()]
+    """Parse a catalog file.  A line that is not JSON, lacks a key or holds
+    a malformed value, and a header `count` that differs from the number
+    of records (a truncated file), raise ValueError naming the line.  The
+    records are not re-verified: forms, flags and axioms are read as
+    written."""
+    lines = [(number, line)
+             for number, line in enumerate(text.splitlines(), start=1)
+             if line.strip()]
     if not lines:
         raise ValueError("empty catalog file")
-    header = json.loads(lines[0])
-    if header.get("format") != CATALOG_FORMAT:
+    max_size, modals, constraints, count = _read_line(*lines[0],
+                                                      _header_fields)
+    records = lines[1:]
+    if count != len(records):
+        raise ValueError(f"header count {count} but {len(records)} "
+                         f"records: truncated catalog?")
+    entries = tuple(_read_line(number, line, _entry_from_record)
+                    for number, line in records)
+    return Catalog(max_size, modals, constraints, entries)
+
+
+def _read_line(number: int, line: str, build):
+    """`build` applied to the line's JSON, with its errors reported as a
+    ValueError naming the line."""
+    try:
+        return build(json.loads(line))
+    except KeyError as e:
+        raise ValueError(f"line {number}: missing key {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"line {number}: {e}") from None
+
+
+def _header_fields(header) -> tuple:
+    """(max_size, modals, constraints, count) of a checked header."""
+    if not isinstance(header, dict) or header.get("format") != CATALOG_FORMAT:
         raise ValueError("not a catalog file")
     if header.get("version") != CATALOG_VERSION:
         raise ValueError(f"catalog version {header.get('version')} "
                          f"unsupported (want {CATALOG_VERSION})")
-    entries = []
-    for line in lines[1:]:
-        rec = json.loads(line)
-        flags = rec["flags"]
-        entries.append(CatalogEntry(
-            algebra=_algebra_from_record(rec),
-            form=bytes.fromhex(rec["form"]),
-            trivial=flags["trivial"], chain=flags["chain"],
-            contractive=flags["contractive"], in_rc=flags["in_rc"],
-            simple=flags["simple"], si=flags["si"]))
-    return Catalog(header["max_size"], header["modals"],
-                   tuple(header["constraints"]), tuple(entries))
+    return (header["max_size"], header["modals"],
+            tuple(header["constraints"]), header["count"])
+
+
+def _entry_from_record(rec: dict) -> CatalogEntry:
+    flags = rec["flags"]
+    return CatalogEntry(
+        algebra=_algebra_from_record(rec),
+        form=bytes.fromhex(rec["form"]),
+        trivial=flags["trivial"], chain=flags["chain"],
+        contractive=flags["contractive"], in_rc=flags["in_rc"],
+        simple=flags["simple"], si=flags["si"])

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -8,7 +10,8 @@ from ririg.catalog import Catalog, canonical_form, \
     enumerate_modal_expansions, enumerate_ririgs
 from ririg.core import FiniteRirig, synthesize_imp, validate_ririg
 from ririg.fixtures import b2, g3, g3_delta, g3_id, luk3
-from ririg.modal import ModalRirig, bare, validate_modal
+from ririg.modal import ModalRirig, ModalSignature, bare, \
+    validate_modal
 from ririg.terms import in_chain_variety, is_chain, is_contractive
 
 
@@ -24,6 +27,38 @@ def permuted(A: ModalRirig, perm) -> ModalRirig:
     modals = tuple(tuple(perm[t[inv[a]]] for a in range(n))
                    for t in A.modal_tables)
     return ModalRirig(base, A.sig, modals)
+
+
+DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
+
+
+def brute_force_form(A: ModalRirig) -> bytes:
+    """Oracle for canonical_form: the minimum over all n! relabelings."""
+    n = A.size
+    best = None
+    for perm in itertools.permutations(range(n)):
+        inv = [0] * n
+        for i, p in enumerate(perm):
+            inv[p] = i
+        payload = [n, perm[A.zero], perm[A.one], len(A.sig)]
+        for table in (A.join, A.prod, A.imp):
+            payload.extend(perm[table[inv[a]][inv[b]]]
+                           for a in range(n) for b in range(n))
+        for t in A.modal_tables:
+            payload.extend(perm[t[inv[a]]] for a in range(n))
+        enc = bytes(payload)
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
+def displacing_relabeling(A: ModalRirig, rng) -> tuple[int, ...]:
+    """A random relabeling that moves zero off 0 and one off n-1."""
+    n = A.size
+    perm = list(range(n))
+    while n > 1 and (perm[A.zero] == 0 or perm[A.one] == n - 1):
+        rng.shuffle(perm)
+    return tuple(perm)
 
 
 def test_counts_small():
@@ -79,6 +114,38 @@ def test_canonical_form_invariant_under_relabeling():
             rng.shuffle(perm)
             B = permuted(A, tuple(perm))
             assert canonical_form(B) == canonical_form(A)
+
+
+def test_canonical_form_matches_brute_force_oracle():
+    rng = random.Random(11)
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for base in enumerate_ririgs(n):
+            for k in (0, 1, 2):
+                for M in enumerate_modal_expansions(base, k):
+                    form = brute_force_form(M)
+                    assert canonical_form(M) == form
+                    B = permuted(M, displacing_relabeling(M, rng))
+                    assert canonical_form(B) == brute_force_form(B) == form
+                    checked += 1
+    assert checked == 11 + 100 + 1252
+
+
+def test_canonical_form_matches_oracle_off_ririgs():
+    """The fixed-0/1 argument needs only shape-valid tables: random
+    tables, including zero == one, agree with the oracle."""
+    rng = random.Random(12)
+    for trial in range(40):
+        n = rng.choice((2, 3, 4))
+        table = lambda: [[rng.randrange(n) for _ in range(n)]
+                         for _ in range(n)]
+        zero = rng.randrange(n)
+        one = zero if trial % 2 else rng.randrange(n)
+        base = FiniteRirig(n, table(), table(), table(), zero, one)
+        M = ModalRirig(base, ModalSignature(("m1",)),
+                       (tuple(rng.randrange(n) for _ in range(n)),))
+        for A in (bare(base), M):
+            assert canonical_form(A) == brute_force_form(A)
 
 
 def test_canonical_form_separates():
@@ -204,3 +271,44 @@ def test_size3_count_matches_naive_scan():
     pruned = {canonical_form(A) for A in enumerate_ririgs(3)}
     assert set(naive) == pruned
     assert len(naive) == 2
+
+
+@pytest.mark.parametrize("name", ["cat2.cat", "cat2_m.cat", "cat3.cat",
+                                  "cat3_m.cat", "cat4.cat", "cat4_m.cat"])
+def test_shipped_catalogs_rebuild_byte_for_byte(name, tmp_path):
+    shipped = DATA / name
+    header = json.loads(shipped.read_text().splitlines()[0])
+    cat = catalog_build(header["max_size"], header["modals"],
+                        header["constraints"])
+    catalog_save(cat, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == shipped.read_bytes()
+
+
+@pytest.mark.parametrize("args", [(4, 2), (4, 2, ("contractive", "P"))])
+def test_stored_forms_are_canonical(args):
+    for e in catalog_build(*args).entries:
+        assert e.form == canonical_form(e.algebra)
+
+
+def test_catalog_loads_rejects_truncated_file():
+    lines = (DATA / "cat3_m.cat").read_text().splitlines()
+    with pytest.raises(ValueError, match="count 13 but 12 records"):
+        catalog_loads("\n".join(lines[:-1]))
+
+
+def test_catalog_loads_names_the_bad_line():
+    lines = (DATA / "cat3_m.cat").read_text().splitlines()
+    rec = json.loads(lines[3])
+    del rec["flags"]["si"]
+    missing = lines[:3] + [json.dumps(rec)] + lines[4:]
+    with pytest.raises(ValueError, match="line 4: missing key 'si'"):
+        catalog_loads("\n".join(missing))
+    broken = lines[:5] + [lines[5][:40]] + lines[6:]
+    with pytest.raises(ValueError, match="line 6: "):
+        catalog_loads("\n".join(broken))
+    with pytest.raises(ValueError, match="line 1: "):
+        catalog_loads("\n".join(["{"] + lines[1:]))
+    del rec["flags"]
+    with pytest.raises(ValueError, match="line 2: missing key 'flags'"):
+        catalog_loads("\n".join(lines[:1] + [json.dumps(rec)]
+                                + lines[2:]))

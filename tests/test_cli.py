@@ -202,6 +202,19 @@ def test_usage_errors(capsys):
     assert main(["entails", "v0 = 1"]) == 2 or True  # env may set catalog
 
 
+def test_entails_bad_catalog_exits_2(tmp_path):
+    lines = (DATA / "cat3_m.cat").read_text().splitlines()
+    rec = json.loads(lines[2])
+    del rec["form"]
+    truncated = tmp_path / "truncated.cat"
+    truncated.write_text("\n".join(lines[:-1]) + "\n")
+    missing_key = tmp_path / "missing.cat"
+    missing_key.write_text("\n".join(lines[:2] + [json.dumps(rec)]
+                                     + lines[3:]) + "\n")
+    for bad in (truncated, missing_key):
+        assert main(["entails", "--catalog", str(bad), "v0 -> v0 = 1"]) == 2
+
+
 def test_json_reports_stable(capsys):
     _, first = run(capsys, "classify", DATA / "g3delta.alg", "--json")
     _, second = run(capsys, "classify", DATA / "g3delta.alg", "--json")
