@@ -18,7 +18,7 @@ from .terms import Const, Equation, Imp, Join, ModalApp, Prod, Term, Var, \
 from .parsing import ParseError, format_equation, format_term, \
     parse_equation, parse_formula, parse_term
 from .compat import CompatReport, FiniteFunction, compat_witness_kary, \
-    compat_witness_lambda, compat_witness_unary, is_compatible_direct, \
+    compat_witness_lambda, is_compatible_direct, \
     laf_representation, random_function, slot_function
 from .logic import Ax, Hyp, JoinElim, LddtWitness, MP, Nec, Proof, \
     ProofCheck, ProofLine, check_proof, format_proof, lddt_witness, \

@@ -68,6 +68,17 @@ def _load(path):
         raise CliError(str(e)) from None
 
 
+def _load_modal_ririg(path):
+    """Load an algebra and refuse it unless it is an I-modal ririg, which
+    the compatibility witness routes need."""
+    A, labels = _load(path)
+    try:
+        cp.check_modal_ririg(A)
+    except ValueError as e:
+        raise CliError(f"{path}: {e}") from None
+    return A, labels
+
+
 def _labeler(labels):
     return lambda i: labels[i]
 
@@ -332,7 +343,7 @@ def _format_pair_witness(A, route, w):
 
 
 def cmd_compatible(args):
-    A, labels = _load(args.algebra)
+    A, labels = _load_modal_ririg(args.algebra)
     if args.fn is None and args.random is None:
         raise CliError("pass --fn FILE or --random N")
     if args.fn is not None:
@@ -349,6 +360,9 @@ def cmd_compatible(args):
             return UNDECIDED, report
         return (OK if verdicts == {"compatible"} else FAIL), report
     # seeded random agreement sweep
+    for option in ("random", "arity", "jobs"):
+        if getattr(args, option) < 1:
+            raise CliError(f"--{option} must be at least 1")
     disagreements = cp.agreement_sweep(A, args.arity, args.random,
                                        args.seed, jobs=args.jobs)
     report = {"seed": args.seed, "sampled": args.random,
@@ -388,7 +402,7 @@ def _partition_from_text(text, labels, n):
 
 
 def cmd_laf(args):
-    A, labels = _load(args.algebra)
+    A, labels = _load_modal_ririg(args.algebra)
     try:
         f = load_function(args.fn)
     except FileFormatError as e:

@@ -4,7 +4,12 @@ applications, and through iterates of the modal contraction operator.
 
 The block and iterate routes decide the same condition: the symmetric
 implication product of the two output tuples must land in the filter
-generated by the slotwise star values of the argument pairs.
+generated by the slotwise star values of the argument pairs.  A filter is
+up-closed and product-closed and x*y <= x, y, so Fg(X) = Fg(prod X): each
+pair is decided by one lookup in a per-algebra table of the filters
+generated by single elements, for every arity.  That rule, and the
+routes themselves, hold only in an I-modal ririg, so both witness routes
+refuse an algebra that fails validate_ririg or validate_modal.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .filters import DEFAULT_CONGRUENCE_CAP, all_congruences_direct, \
-    generate_filter_lambda
-from .modal import ModalRirig, lambda_iter, lambda_op, reachable_values
+from .core import validate_ririg
+from .filters import ALGEBRA_CACHE_SIZE, DEFAULT_CONGRUENCE_CAP, \
+    _products_up_to, all_congruences_direct, generate_filter_lambda, up_set
+from .modal import ModalRirig, lambda_iter, lambda_op, reachable_values, \
+    validate_modal
 
 DEFAULT_SEED = 0x161
 
@@ -118,73 +125,55 @@ def is_compatible_direct(A: ModalRirig, f: FiniteFunction,
     return CompatReport(True)
 
 
-@lru_cache(maxsize=None)
-def _star_table(A: ModalRirig):
-    return tuple(tuple(A.star(a, b) for b in range(A.size))
-                 for a in range(A.size))
+def check_modal_ririg(A: ModalRirig) -> None:
+    """Raise ValueError naming the first failed axiom unless A is an
+    I-modal ririg; the witness routes are only exact on those."""
+    failures = validate_ririg(A.base).failures + validate_modal(A).failures
+    if failures:
+        name, witness = failures[0]
+        raise ValueError(f"not an I-modal ririg: axiom {name!r} fails at "
+                         f"{list(witness)}")
 
 
-def _product_closure_upset(A: ModalRirig, values):
-    """Up-set of all finite products (including the empty one) of the given
-    values, by breadth-first closure."""
-    reached = {A.one}
-    frontier = {A.one}
-    while frontier:
-        nxt = set()
-        for p in frontier:
-            for v in values:
-                q = A.prod[p][v]
-                if q not in reached:
-                    nxt.add(q)
-        reached |= nxt
-        frontier = nxt
-    return frozenset(y for y in range(A.size)
-                     if any(A.leq(p, y) for p in reached))
+@dataclass(frozen=True)
+class _Context:
+    """Per-algebra tables: star[a][b], and for each element c the filter
+    it generates by the block route and by the contraction route."""
+
+    star: tuple[tuple[int, ...], ...]
+    blocks: tuple[frozenset[int], ...]
+    lam: tuple[frozenset[int], ...]
+
+
+@lru_cache(maxsize=ALGEBRA_CACHE_SIZE)
+def _context(A: ModalRirig) -> _Context:
+    check_modal_ririg(A)
+    n = A.size
+    return _Context(
+        tuple(tuple(A.star(a, b) for b in range(n)) for a in range(n)),
+        tuple(_block_filter(A, (c,)) for c in range(n)),
+        tuple(generate_filter_lambda(A, {c}) for c in range(n)))
 
 
 def _block_filter(A: ModalRirig, starts, bound=None):
     values = set()
     for c in starts:
         values |= reachable_values(A, c, bound).keys()
-    return _product_closure_upset(A, values)
+    return up_set(A, _products_up_to(A, values))
 
 
-@lru_cache(maxsize=None)
-def _small_filters_blocks(A: ModalRirig):
-    """Block-route generated filter of every <=2-element set of elements,
-    keyed by the sorted value tuple."""
-    n = A.size
-    out = {}
-    for c in range(n):
-        out[(c,)] = _block_filter(A, (c,))
-        for d in range(c, n):
-            out[(c, d)] = _block_filter(A, (c, d))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _small_filters_lambda(A: ModalRirig):
-    n = A.size
-    out = {}
-    for c in range(n):
-        out[(c,)] = generate_filter_lambda(A, {c})
-        for d in range(c, n):
-            out[(c, d)] = generate_filter_lambda(A, {c, d})
-    return out
-
-
-def _slot_stars(A: ModalRirig, f: FiniteFunction, a, b):
-    star = _star_table(A)
-    cs = tuple(star[x][y] for x, y in zip(a, b))
-    target = star[f(*a)][f(*b)]
-    return cs, target
-
-
-def _tuple_pairs(n: int, k: int):
-    tuples = list(itertools.product(range(n), repeat=k))
-    for a in tuples:
-        for b in tuples:
-            yield a, b
+def _star_pairs(A: ModalRirig, star, f: FiniteFunction):
+    """Each pair (a, b) of argument tuples, in row-major order, with its
+    slot stars, their product and the output star."""
+    prod, one = A.prod, A.one
+    tuples = list(itertools.product(range(A.size), repeat=f.arity))
+    for a, fa in zip(tuples, f.table):
+        for b, fb in zip(tuples, f.table):
+            cs = [star[x][y] for x, y in zip(a, b)]
+            p = one
+            for x in cs:
+                p = prod[p][x]
+            yield a, b, cs, p, star[fa][fb]
 
 
 def _blocks_witness(A: ModalRirig, cs, target, bound=None):
@@ -224,15 +213,14 @@ def compat_witness_kary(A: ModalRirig, f: FiniteFunction,
     report when the closure was truncated and no witness appeared.
     """
     _check_size(A, f)
-    n, k = A.size, f.arity
-    small = _small_filters_blocks(A) if (block_len_bound is None and k <= 2) \
-        else None
+    ctx = _context(A)
     witnesses = {} if with_witnesses else None
-    for a, b in _tuple_pairs(n, k):
-        cs, target = _slot_stars(A, f, a, b)
-        if small is not None:
-            ok = target in small[tuple(sorted(set(cs)))]
+    for a, b, cs, p, target in _star_pairs(A, ctx.star, f):
+        if block_len_bound is None:
+            ok = target in ctx.blocks[p]
         else:
+            # a truncated closure is not the generated filter, so it is
+            # taken of the slot stars themselves rather than their product
             ok = target in _block_filter(A, cs, block_len_bound)
         if not ok:
             saturated = block_len_bound is None or all(
@@ -247,29 +235,15 @@ def compat_witness_kary(A: ModalRirig, f: FiniteFunction,
     return CompatReport(True, witnesses=witnesses)
 
 
-def compat_witness_unary(A: ModalRirig, f: FiniteFunction,
-                         block_len_bound: int | None = None,
-                         with_witnesses: bool = True) -> CompatReport:
-    if f.arity != 1:
-        raise ValueError("unary route requires a unary function")
-    return compat_witness_kary(A, f, block_len_bound, with_witnesses)
-
-
 def compat_witness_lambda(A: ModalRirig, f: FiniteFunction,
                           with_witnesses: bool = True) -> CompatReport:
     """Decide compatibility through iterates of the contraction operator;
     exact, since the iteration stabilizes pointwise."""
     _check_size(A, f)
-    n, k = A.size, f.arity
-    small = _small_filters_lambda(A) if k <= 2 else None
+    ctx = _context(A)
     witnesses = {} if with_witnesses else None
-    for a, b in _tuple_pairs(n, k):
-        cs, target = _slot_stars(A, f, a, b)
-        if small is not None:
-            ok = target in small[tuple(sorted(set(cs)))]
-        else:
-            ok = target in generate_filter_lambda(A, set(cs))
-        if not ok:
+    for a, b, cs, p, target in _star_pairs(A, ctx.star, f):
+        if target not in ctx.lam[p]:
             return CompatReport(False, failing=((a, b),))
         if with_witnesses:
             witnesses[(a, b)] = _lambda_witness(A, cs, target)
@@ -332,7 +306,7 @@ def agreement_sweep(A: ModalRirig, arity: int, count: int, seed: int,
                     jobs: int = 1):
     """Run the three compatibility routes over seeded random functions,
     returning the disagreeing ones (expected: none)."""
-    if jobs <= 1:
+    if jobs <= 1 or count < 1:
         return _sweep_chunk((A, arity, seed, 0, count))
     from concurrent.futures import ProcessPoolExecutor
     chunk = (count + jobs - 1) // jobs
@@ -373,7 +347,7 @@ def laf_representation(A: ModalRirig, f: FiniteFunction, B) -> LafRepresentation
         raise ValueError("tuples in B must match the arity")
     if not compat_witness_lambda(A, f, with_witnesses=False).compatible:
         raise ValueError("function is not compatible")
-    star = _star_table(A)
+    star = _context(A).star
 
     def least_exponent(a, x):
         cs = [star[ai][xi] for ai, xi in zip(a, x)]

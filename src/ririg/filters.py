@@ -20,15 +20,13 @@ Partition = tuple[int, ...]
 
 DEFAULT_CONGRUENCE_CAP = 5
 DEFAULT_SUBUNIVERSE_CAP = 6
+# algebras kept by each per-algebra cache
+ALGEBRA_CACHE_SIZE = 64
 
 
 def up_set(A: ModalRirig | FiniteRirig, xs) -> Subset:
     return frozenset(y for y in range(A.size)
-                     if any(leq_(A, x, y) for x in xs))
-
-
-def leq_(A, a, b):
-    return A.join[a][b] == b
+                     if any(A.leq(x, y) for x in xs))
 
 
 def is_ifilter(A: ModalRirig, S) -> bool:
@@ -38,7 +36,7 @@ def is_ifilter(A: ModalRirig, S) -> bool:
         return False
     for x in S:
         for y in range(A.size):
-            if leq_(A, x, y) and y not in S:
+            if A.leq(x, y) and y not in S:
                 return False
         for y in S:
             if A.prod[x][y] not in S:
@@ -57,7 +55,7 @@ def generate_filter(A: ModalRirig, X) -> Subset:
         new = set()
         for x in S:
             for y in range(A.size):
-                if leq_(A, x, y) and y not in S:
+                if A.leq(x, y) and y not in S:
                     new.add(y)
             for y in S:
                 p = A.prod[x][y]
@@ -71,22 +69,19 @@ def generate_filter(A: ModalRirig, X) -> Subset:
         S |= new
 
 
-def _products_up_to(A: ModalRirig, values, count: int) -> set[int]:
+def _products_up_to(A: ModalRirig, values, count: int | None = None
+                    ) -> set[int]:
     """All products of at most `count` factors drawn from `values`
-    (with repetition); the empty product is 1."""
+    (with repetition), of any number when count is None; the empty
+    product is 1."""
+    prod = A.prod
     acc = {A.one}
     frontier = {A.one}
-    for _ in range(count):
-        nxt = set()
-        for p in frontier:
-            for v in values:
-                q = A.prod[p][v]
-                if q not in acc:
-                    nxt.add(q)
-        if not nxt:
-            break
-        acc |= nxt
-        frontier = nxt
+    rounds = 0
+    while frontier and (count is None or rounds < count):
+        rounds += 1
+        frontier = {prod[p][v] for p in frontier for v in values} - acc
+        acc |= frontier
     return acc
 
 
@@ -119,8 +114,7 @@ def generate_filter_lambda(A: ModalRirig, X) -> Subset:
     out = set()
     level = list(X)
     while True:
-        # the product search is a breadth-first closure, so size bounds it
-        out |= _products_up_to(A, level, A.size)
+        out |= _products_up_to(A, level)
         nxt = [lambda_op(A, v) for v in level]
         if nxt == level:
             break
@@ -189,7 +183,7 @@ def is_congruence(A: ModalRirig, part: Partition) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ALGEBRA_CACHE_SIZE)
 def _congruences_cached(A: ModalRirig) -> tuple[Partition, ...]:
     return tuple(p for p in partitions(A.size) if is_congruence(A, p))
 
@@ -374,7 +368,7 @@ def is_subdirectly_irreducible(A: ModalRirig):
     if not candidates:
         return False, None
     maximal = [b for b in candidates
-               if not any(c != b and leq_(A, b, c) for c in candidates)]
+               if not any(c != b and A.leq(b, c) for c in candidates)]
     return True, maximal[0]
 
 

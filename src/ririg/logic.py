@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .modal import Block, ModalSignature
+from .modal import Block, ModalSignature, enumerate_blocks
 from .parsing import ParseError, format_term, parse_formula
 from .terms import (BOT, TOP, Const, Equation, Imp, Join, ModalApp, Prod,
                     Term, Var, eval_term, modal_names_of, valuations,
@@ -483,7 +483,7 @@ def lddt_witness(gamma, delta, psi: Formula, catalog,
                         return finish(factors, candidate, lam_exponent=l)
         return None
 
-    blocks = [tuple(b) for b in _blocks_up_to(sig, block_len_bound)]
+    blocks = [tuple(b) for b in enumerate_blocks(sig, block_len_bound)]
     pairs = [(M, d) for M in blocks for d in delta]
     for count in range(product_bound + 1):
         for combo in itertools.combinations_with_replacement(pairs, count):
@@ -493,11 +493,6 @@ def lddt_witness(gamma, delta, psi: Formula, catalog,
             if candidate is not None:
                 return finish(tuple(combo), candidate)
     return None
-
-
-def _blocks_up_to(sig: ModalSignature, max_len: int):
-    from .modal import enumerate_blocks
-    return enumerate_blocks(sig, max_len)
 
 
 def _apply_block_formula(sig: ModalSignature, block: Block,

@@ -2,11 +2,12 @@ import itertools
 import random
 
 import pytest
-from ririg.compat import FiniteFunction, all_unary_functions, \
-    compat_witness_kary, compat_witness_lambda, compat_witness_unary, \
+from ririg.catalog import enumerate_ririgs
+from ririg.compat import FiniteFunction, agreement_sweep, \
+    all_unary_functions, compat_witness_kary, compat_witness_lambda, \
     is_compatible_direct, laf_representation, random_function, slot_function
 from ririg.fixtures import luk3
-from ririg.modal import ModalRirig, ModalSignature
+from ririg.modal import ModalRirig, ModalSignature, apply_block, lambda_iter
 from ririg.terms import eval_term
 from ririg.parsing import parse_term
 
@@ -34,11 +35,11 @@ def test_direct_examples(G3I):
 
 
 def test_witness_routes_examples(G3I):
-    ok = compat_witness_unary(G3I, F_OK)
+    ok = compat_witness_kary(G3I, F_OK)
     assert ok.compatible
     # the off-diagonal pairs are certified by the empty block alone
     assert ok.witnesses[((0,), (1,))] == (((), 0),)
-    bad = compat_witness_unary(G3I, F_BAD)
+    bad = compat_witness_kary(G3I, F_BAD)
     assert bad.compatible is False
     assert bad.failing == (((1,), (2,)),)
     lam = compat_witness_lambda(G3I, F_OK)
@@ -49,15 +50,10 @@ def test_witness_routes_examples(G3I):
 def test_identity_always_compatible(catalog3):
     for A in catalog3:
         ident = FiniteFunction(1, tuple(range(A.size)))
-        r = compat_witness_unary(A, ident)
+        r = compat_witness_kary(A, ident)
         assert r.compatible
         lam = compat_witness_lambda(A, ident)
         assert all(w[0] == 0 for w in lam.witnesses.values())
-
-
-def test_unary_route_requires_unary(G3I):
-    with pytest.raises(ValueError):
-        compat_witness_unary(G3I, FiniteFunction(2, tuple([0] * 9)))
 
 
 def godel4_with_step_down():
@@ -76,8 +72,8 @@ def test_bounded_mode_can_be_undecided():
     from ririg.modal import validate_modal
     assert validate_modal(A).passed
     f = FiniteFunction(1, (0, 0, 0, 3))
-    assert compat_witness_unary(A, f).compatible     # full closure decides
-    bound1 = compat_witness_unary(A, f, block_len_bound=1)
+    assert compat_witness_kary(A, f).compatible      # full closure decides
+    bound1 = compat_witness_kary(A, f, block_len_bound=1)
     assert bound1.compatible is None                 # truncated, not refuted
     assert bound1.verdict == "undecided"
     assert bound1.failing == (((2,), (3,)),)
@@ -99,12 +95,68 @@ def test_three_route_agreement_needs_products():
     A = ModalRirig(luk3(), ModalSignature(("m",)), ((2, 2, 2),))
     f = FiniteFunction(1, (0, 0, 2))
     assert is_compatible_direct(A, f).compatible
-    blocks = compat_witness_unary(A, f)
+    blocks = compat_witness_kary(A, f)
     assert blocks.compatible
     assert len(blocks.witnesses[((1,), (2,))]) == 2   # two factors needed
     lam = compat_witness_lambda(A, f)
     assert lam.compatible
     assert lam.witnesses[((1,), (2,))] == (0, (0, 0))
+
+
+def _replays(A, f, witnesses, factor_values):
+    """Every witness's product of factor values lies below the star of the
+    pair's outputs."""
+    for (a, b), w in witnesses.items():
+        assert w is not None
+        stars = [A.star(x, y) for x, y in zip(a, b)]
+        p = A.one
+        for v in factor_values(stars, w):
+            p = A.prod[p][v]
+        assert A.leq(p, A.star(f(*a), f(*b)))
+
+
+def test_three_route_agreement_ternary(catalog3):
+    rng = random.Random(0x3A3)
+    full_scans = 0
+    texts = ["v0 * v1 | v2", "(v0 -> v1) * v2", "m1(v0 * v2) -> v1",
+             "v2 -> m1(v1) | v0"]
+    for A in [A for A in catalog3 if A.size == 3]:
+        functions = [random_function(3, 3, rng) for _ in range(20)]
+        for text in texts:
+            if "m1" in text and not A.sig.names:
+                continue
+            t = parse_term(text)
+            functions.append(FiniteFunction(3, tuple(
+                eval_term(A, dict(enumerate(args)), t)
+                for args in itertools.product(range(3), repeat=3))))
+        for f in functions:
+            d = is_compatible_direct(A, f).compatible
+            blocks = compat_witness_kary(A, f)
+            lam = compat_witness_lambda(A, f)
+            assert d == blocks.compatible == lam.compatible
+            if d:
+                full_scans += 1
+                assert len(blocks.witnesses) == len(lam.witnesses) == 27 ** 2
+                _replays(A, f, blocks.witnesses, lambda stars, w: [
+                    apply_block(A, blk, stars[slot]) for blk, slot in w])
+                _replays(A, f, lam.witnesses, lambda stars, w: [
+                    lambda_iter(A, w[0], stars[slot]) for slot in w[1]])
+    assert full_scans >= 2 * len(texts)
+
+
+def test_witness_routes_refuse_invalid_algebra():
+    # m fails m(x->y) <= m(x)->m(y), so filter generation by blocks or by
+    # contraction iterates need not give the filters of this algebra
+    A = ModalRirig(enumerate_ririgs(4)[4], ModalSignature(("m",)),
+                   ((2, 0, 1, 3),))
+    f = FiniteFunction(2, (2, 2, 2, 2, 2, 0, 0, 0, 3, 3, 1, 3, 3, 2, 3, 1))
+    for route in (compat_witness_kary, compat_witness_lambda):
+        with pytest.raises(ValueError, match="m\\(x->y\\)"):
+            route(A, f)
+
+
+def test_agreement_sweep_of_nothing(G3I):
+    assert agreement_sweep(G3I, 2, 0, 5, jobs=2) == []
 
 
 def test_binary_examples(G3I):

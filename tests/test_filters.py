@@ -72,6 +72,19 @@ def test_generation_routes_agree(catalog4):
             assert generate_filter_lambda(A, X) == expected
 
 
+def test_pair_generates_the_filter_of_its_product(catalog4):
+    # Fg({c, d}) = Fg({c*d}): compatibility decides every arity by the
+    # filter generated by the product of the slot stars
+    from ririg.catalog import catalog_build
+    for A in catalog4 + catalog_build(3, 2).algebras():
+        for c in range(A.size):
+            for d in range(A.size):
+                for generate in (generate_filter_lambda,
+                                 generate_filter_blocks_stabilized):
+                    assert generate(A, {c, d}) == \
+                        generate(A, {A.prod[c][d]})
+
+
 def test_all_ifilters_examples(G3I, G3D):
     assert all_ifilters(G3I) == [frozenset({2}), frozenset({1, 2}),
                                  frozenset({0, 1, 2})]
