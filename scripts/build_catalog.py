@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Build and save the standard catalogs used by the CLI examples.
 
-Writes data/cat3.cat (sizes <= 3, one modal) and data/cat4.cat
-(sizes <= 4, one modal), plus modal-free variants.
+For each n from 2 to --max-size (default 4), writes cat{n}.cat, every
+algebra of size <= n with no modal, and cat{n}_m.cat, every algebra of
+size <= n with one modal, into --out-dir (default data/).
 """
 
 import argparse

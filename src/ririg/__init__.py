@@ -1,10 +1,10 @@
 """Workbench for finite residuated integral rigs with modal operators."""
 
-from .core import AxiomReport, FiniteRirig, leq, residual_of, star, \
+from .core import Algebra, AxiomReport, ModalSignature, residual_of, \
     synthesize_imp, validate_ririg
-from .modal import Block, EPS, ModalRirig, ModalSignature, apply_block, \
-    bare, check_product_form, enumerate_blocks, format_block, lambda_iter, \
-    lambda_op, parse_block, reachable_values, validate_modal
+from .modal import Block, EPS, apply_block, check_product_form, \
+    enumerate_blocks, format_block, lambda_iter, lambda_op, parse_block, \
+    reachable_values, validate_modal
 from .filters import all_congruences_direct, all_ifilters, cep_check, \
     congruence_join, filter_from_theta, generate_filter, \
     generate_filter_blocks, generate_filter_blocks_stabilized, \

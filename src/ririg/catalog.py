@@ -16,8 +16,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import FiniteRirig, synthesize_imp, validate_ririg
-from .modal import ModalRirig, ModalSignature, bare, validate_modal
+from .core import Algebra, ModalSignature, synthesize_imp, validate_ririg
+from .modal import validate_modal
 from .terms import in_chain_variety, is_chain, is_contractive, \
     satisfies_join_subdistribution, satisfies_prelinearity
 
@@ -29,7 +29,7 @@ CATALOG_VERSION = 1
 KNOWN_CONSTRAINTS = ("contractive", "Cm", "P", "chain")
 
 
-def canonical_form(A: ModalRirig | FiniteRirig) -> bytes:
+def canonical_form(A: Algebra) -> bytes:
     """Minimum over all universe relabelings of the concatenated tables,
     with the 0/1 positions and modal tables included.  Two algebras are
     isomorphic exactly when their forms agree.
@@ -41,8 +41,6 @@ def canonical_form(A: ModalRirig | FiniteRirig) -> bytes:
     instead of n!; the argument holds for any shape-valid tables, not only
     for ririgs.
     """
-    if isinstance(A, FiniteRirig):
-        A = bare(A)
     n = A.size
     fixed = (A.zero,) if A.zero == A.one else (A.zero, A.one)
     rest = [x for x in range(n) if x not in fixed]
@@ -66,7 +64,7 @@ def canonical_form(A: ModalRirig | FiniteRirig) -> bytes:
     return best
 
 
-def _by_form(algebras) -> list[tuple[bytes, ModalRirig | FiniteRirig]]:
+def _by_form(algebras) -> list[tuple[bytes, Algebra]]:
     """One (canonical form, algebra) pair per isomorphism class among
     `algebras`, keeping the first algebra met, in form order."""
     seen = {}
@@ -122,29 +120,30 @@ def _product_tables(n: int, join):
         yield tuple(tuple(row) for row in table), imp
 
 
-def enumerate_ririgs(n: int, cap: int = DEFAULT_SIZE_CAP) -> list[FiniteRirig]:
+def enumerate_ririgs(n: int, cap: int = DEFAULT_SIZE_CAP) -> list[Algebra]:
     """All ririgs of size n up to isomorphism, canonical-form order."""
     if n > cap:
         raise ValueError(f"size {n} exceeds enumeration cap {cap}")
     if n < 1:
         raise ValueError("size must be >= 1")
     if n == 1:
-        return [FiniteRirig(1, ((0,),), ((0,),), ((0,),), 0, 0)]
+        return [Algebra(1, ((0,),), ((0,),), ((0,),), 0, 0)]
     found = []
     for join in _join_tables(n):
         for prod, imp in _product_tables(n, join):
-            A = FiniteRirig(n, join, prod, imp, 0, n - 1)
+            A = Algebra(n, join, prod, imp, 0, n - 1)
             assert validate_ririg(A).passed
             found.append(A)
     return [A for _, A in _by_form(found)]
 
 
-def _valid_modal_tables(A: FiniteRirig, constraints=()):
+def _valid_modal_tables(A: Algebra, constraints=()):
     n = A.size
+    sig = ModalSignature(("m1",))
     for table in itertools.product(range(n), repeat=n):
         if table[A.one] != A.one:
             continue
-        M = ModalRirig(A, ModalSignature(("m1",)), (table,))
+        M = A.with_modals(sig, (table,))
         if not validate_modal(M).passed:
             continue
         if "contractive" in constraints and not is_contractive(M):
@@ -154,16 +153,16 @@ def _valid_modal_tables(A: FiniteRirig, constraints=()):
         yield table
 
 
-def enumerate_modal_expansions(A: FiniteRirig, k: int, constraints=(),
+def enumerate_modal_expansions(A: Algebra, k: int, constraints=(),
                                modal_cap: int = DEFAULT_MODAL_CAP
-                               ) -> list[ModalRirig]:
+                               ) -> list[Algebra]:
     """All expansions of A by k modal tables, up to isomorphism of the
     expanded structure.  Constraint names: contractive, Cm."""
     return [M for _, M in _expansions_by_form(A, k, constraints, modal_cap)]
 
 
-def _expansions_by_form(A: FiniteRirig, k: int, constraints,
-                        modal_cap: int) -> list[tuple[bytes, ModalRirig]]:
+def _expansions_by_form(A: Algebra, k: int, constraints,
+                        modal_cap: int) -> list[tuple[bytes, Algebra]]:
     """The expansions of `enumerate_modal_expansions`, each paired with
     its canonical form, in form order."""
     if k > modal_cap:
@@ -173,13 +172,13 @@ def _expansions_by_form(A: FiniteRirig, k: int, constraints,
         raise ValueError(f"unknown constraints {sorted(unknown)}")
     sig = ModalSignature(tuple(f"m{i + 1}" for i in range(k)))
     singles = list(_valid_modal_tables(A, constraints)) if k else []
-    return _by_form(ModalRirig(A, sig, tables)
+    return _by_form(A.with_modals(sig, tables)
                     for tables in itertools.product(singles, repeat=k))
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    algebra: ModalRirig
+    algebra: Algebra
     form: bytes
     trivial: bool
     chain: bool
@@ -189,7 +188,7 @@ class CatalogEntry:
     si: Optional[bool]
 
     @classmethod
-    def from_algebra(cls, A: ModalRirig,
+    def from_algebra(cls, A: Algebra,
                      form: Optional[bytes] = None) -> "CatalogEntry":
         """Compute the entry's flags; `form`, when given, must be
         `canonical_form(A)` and saves recomputing it."""
@@ -214,7 +213,7 @@ class Catalog:
     constraints: tuple[str, ...]
     entries: tuple[CatalogEntry, ...]
 
-    def algebras(self) -> list[ModalRirig]:
+    def algebras(self) -> list[Algebra]:
         return [e.algebra for e in self.entries]
 
 
@@ -225,9 +224,9 @@ def catalog_build(max_size: int, modals: int, constraints=(),
     entries = []
     for n in range(1, max_size + 1):
         for base in enumerate_ririgs(n, cap=size_cap):
-            if "P" in constraints and not satisfies_prelinearity(bare(base)):
+            if "P" in constraints and not satisfies_prelinearity(base):
                 continue
-            if "chain" in constraints and not is_chain(bare(base)):
+            if "chain" in constraints and not is_chain(base):
                 continue
             for form, M in _expansions_by_form(base, modals, constraints,
                                                modal_cap):
@@ -241,7 +240,7 @@ def catalog_build(max_size: int, modals: int, constraints=(),
 # ---------------------------------------------------------------------------
 # persistence: versioned header line, then one JSON record per algebra
 
-def _algebra_to_record(A: ModalRirig) -> dict:
+def _algebra_to_record(A: Algebra) -> dict:
     return {
         "size": A.size,
         "zero": A.zero,
@@ -254,12 +253,11 @@ def _algebra_to_record(A: ModalRirig) -> dict:
     }
 
 
-def _algebra_from_record(rec: dict) -> ModalRirig:
-    base = FiniteRirig(rec["size"], rec["join"], rec["prod"], rec["imp"],
-                       rec["zero"], rec["one"])
+def _algebra_from_record(rec: dict) -> Algebra:
     names = tuple(rec.get("modals", {}))
     tables = tuple(tuple(rec["modals"][name]) for name in names)
-    return ModalRirig(base, ModalSignature(names), tables)
+    return Algebra(rec["size"], rec["join"], rec["prod"], rec["imp"],
+                   rec["zero"], rec["one"], ModalSignature(names), tables)
 
 
 def catalog_save(catalog: Catalog, path) -> None:

@@ -96,6 +96,8 @@ def _partition_text(theta, labels):
 
 
 def _parse_element(part: str, labels) -> int:
+    if not isinstance(part, str):
+        raise CliError(f"unknown element {part!r}")
     part = part.strip()
     if part in labels:
         return labels.index(part)
@@ -130,9 +132,22 @@ def _witness_arg(args):
     if raw is None:
         return None
     try:
-        return json.loads(raw)
+        witness = json.loads(raw)
     except json.JSONDecodeError as e:
         raise CliError(f"--verify-witness is not valid JSON: {e}") from None
+    if not isinstance(witness, dict):
+        raise CliError("--verify-witness must be a JSON object")
+    return witness
+
+
+def _load_function(path, A):
+    """Load a function file, refusing a table whose size is not A's."""
+    try:
+        f = load_function(path)
+        cp.check_size(A, f)
+    except (OSError, ValueError) as e:
+        raise CliError(str(e)) from None
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +155,7 @@ def _witness_arg(args):
 
 def cmd_check(args):
     A, labels = _load(args.algebra)
-    base_report = validate_ririg(A.base)
+    base_report = validate_ririg(A)
     modal_report = validate_modal(A)
     failures = [{"axiom": name, "witness": list(w)}
                 for name, w in base_report.failures + modal_report.failures]
@@ -347,10 +362,7 @@ def cmd_compatible(args):
     if args.fn is None and args.random is None:
         raise CliError("pass --fn FILE or --random N")
     if args.fn is not None:
-        try:
-            f = load_function(args.fn)
-        except FileFormatError as e:
-            raise CliError(str(e)) from None
+        f = _load_function(args.fn, A)
         witness = _witness_arg(args)
         if witness is not None:
             return _verify_compat_witness(A, labels, f, witness, args)
@@ -376,13 +388,18 @@ def cmd_compatible(args):
 def _verify_compat_witness(A, labels, f, witness, args):
     pairs = witness.get("pairs")
     part_text = witness.get("congruence")
-    if pairs is None or part_text is None:
+    if not isinstance(pairs, list) or not isinstance(part_text, str):
         raise CliError("witness must carry 'congruence' and 'pairs'")
-    theta = _partition_from_text(part_text, labels, A.size)
+    if len(pairs) != f.arity:
+        raise CliError(f"witness has {len(pairs)} pairs but the function "
+                       f"has arity {f.arity}")
+    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise CliError("each witness pair must hold two elements")
+    arg_pairs = [(_parse_element(a, labels), _parse_element(b, labels))
+                 for a, b in pairs]
+    theta = _partition_from_text(part_text, labels)
     if not fl.is_congruence(A, theta):
         return FAIL, {"reproduced": False, "reason": "not a congruence"}
-    idx = {lab: i for i, lab in enumerate(labels)}
-    arg_pairs = [(idx[a], idx[b]) for a, b in pairs]
     left = f(*(p[0] for p in arg_pairs))
     right = f(*(p[1] for p in arg_pairs))
     related = all(theta[a] == theta[b] for a, b in arg_pairs)
@@ -390,23 +407,28 @@ def _verify_compat_witness(A, labels, f, witness, args):
     return (OK if reproduced else FAIL), {"reproduced": reproduced}
 
 
-def _partition_from_text(text, labels, n):
-    idx = {lab: i for i, lab in enumerate(labels)}
-    class_of = [0] * n
+def _partition_from_text(text, labels):
+    """The partition written as reports print it, ``{x,y} | {z}``; every
+    element must appear exactly once."""
+    class_of = [None] * len(labels)
     for block in text.split("|"):
-        members = [idx[x] for x in
-                   block.strip().strip("{}").split(",") if x]
+        members = [_parse_element(x, labels) for x in
+                   block.strip().strip("{}").split(",") if x.strip()]
         for m in members:
+            if class_of[m] is not None:
+                raise CliError(f"congruence {text!r}: element "
+                               f"{labels[m]!r} appears twice")
             class_of[m] = min(members)
+    missing = [labels[i] for i, c in enumerate(class_of) if c is None]
+    if missing:
+        raise CliError(f"congruence {text!r}: no class holds "
+                       f"{', '.join(missing)}")
     return fl.normalize_partition(tuple(class_of))
 
 
 def cmd_laf(args):
     A, labels = _load_modal_ririg(args.algebra)
-    try:
-        f = load_function(args.fn)
-    except FileFormatError as e:
-        raise CliError(str(e)) from None
+    f = _load_function(args.fn, A)
     if args.points:
         B = [_parse_tuple(p, labels) for p in args.points]
     else:

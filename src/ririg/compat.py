@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .core import validate_ririg
+from .core import Algebra, validate_ririg
 from .filters import ALGEBRA_CACHE_SIZE, DEFAULT_CONGRUENCE_CAP, \
     _products_up_to, all_congruences_direct, generate_filter_lambda, up_set
-from .modal import ModalRirig, lambda_iter, lambda_op, reachable_values, \
+from .modal import lambda_iter, lambda_op, reachable_values, \
     validate_modal
 
 DEFAULT_SEED = 0x161
@@ -100,16 +100,18 @@ class CompatReport:
         return "compatible" if self.compatible else "incompatible"
 
 
-def _check_size(A: ModalRirig, f: FiniteFunction):
+def check_size(A: Algebra, f: FiniteFunction):
+    """Raise ValueError unless f acts on A's elements."""
     if f.size() != A.size:
-        raise ValueError("function table size does not match the algebra")
+        raise ValueError(f"function table size {f.size()} does not match "
+                         f"the algebra size {A.size}")
 
 
-def is_compatible_direct(A: ModalRirig, f: FiniteFunction,
+def is_compatible_direct(A: Algebra, f: FiniteFunction,
                          cap: int = DEFAULT_CONGRUENCE_CAP) -> CompatReport:
     """Quantify over every congruence and every componentwise-related pair
     of argument tuples; report the first violation."""
-    _check_size(A, f)
+    check_size(A, f)
     n, k = A.size, f.arity
     for theta in all_congruences_direct(A, cap=cap):
         classes = len(set(theta))
@@ -125,10 +127,10 @@ def is_compatible_direct(A: ModalRirig, f: FiniteFunction,
     return CompatReport(True)
 
 
-def check_modal_ririg(A: ModalRirig) -> None:
+def check_modal_ririg(A: Algebra) -> None:
     """Raise ValueError naming the first failed axiom unless A is an
     I-modal ririg; the witness routes are only exact on those."""
-    failures = validate_ririg(A.base).failures + validate_modal(A).failures
+    failures = validate_ririg(A).failures + validate_modal(A).failures
     if failures:
         name, witness = failures[0]
         raise ValueError(f"not an I-modal ririg: axiom {name!r} fails at "
@@ -146,7 +148,7 @@ class _Context:
 
 
 @lru_cache(maxsize=ALGEBRA_CACHE_SIZE)
-def _context(A: ModalRirig) -> _Context:
+def _context(A: Algebra) -> _Context:
     check_modal_ririg(A)
     n = A.size
     return _Context(
@@ -155,14 +157,14 @@ def _context(A: ModalRirig) -> _Context:
         tuple(generate_filter_lambda(A, {c}) for c in range(n)))
 
 
-def _block_filter(A: ModalRirig, starts, bound=None):
+def _block_filter(A: Algebra, starts, bound=None):
     values = set()
     for c in starts:
         values |= reachable_values(A, c, bound).keys()
     return up_set(A, _products_up_to(A, values))
 
 
-def _star_pairs(A: ModalRirig, star, f: FiniteFunction):
+def _star_pairs(A: Algebra, star, f: FiniteFunction):
     """Each pair (a, b) of argument tuples, in row-major order, with its
     slot stars, their product and the output star."""
     prod, one = A.prod, A.one
@@ -176,7 +178,7 @@ def _star_pairs(A: ModalRirig, star, f: FiniteFunction):
             yield a, b, cs, p, star[fa][fb]
 
 
-def _blocks_witness(A: ModalRirig, cs, target, bound=None):
+def _blocks_witness(A: Algebra, cs, target, bound=None):
     """Shortest factor list ((block, slot), ...) whose product of block
     values lands below the target, or None."""
     items = []
@@ -202,7 +204,7 @@ def _blocks_witness(A: ModalRirig, cs, target, bound=None):
         frontier = nxt
 
 
-def compat_witness_kary(A: ModalRirig, f: FiniteFunction,
+def compat_witness_kary(A: Algebra, f: FiniteFunction,
                         block_len_bound: int | None = None,
                         with_witnesses: bool = True) -> CompatReport:
     """Decide compatibility by products of block applications in the
@@ -212,7 +214,7 @@ def compat_witness_kary(A: ModalRirig, f: FiniteFunction,
     full and the verdict is exact; a finite bound may return an undecided
     report when the closure was truncated and no witness appeared.
     """
-    _check_size(A, f)
+    check_size(A, f)
     ctx = _context(A)
     witnesses = {} if with_witnesses else None
     for a, b, cs, p, target in _star_pairs(A, ctx.star, f):
@@ -235,11 +237,11 @@ def compat_witness_kary(A: ModalRirig, f: FiniteFunction,
     return CompatReport(True, witnesses=witnesses)
 
 
-def compat_witness_lambda(A: ModalRirig, f: FiniteFunction,
+def compat_witness_lambda(A: Algebra, f: FiniteFunction,
                           with_witnesses: bool = True) -> CompatReport:
     """Decide compatibility through iterates of the contraction operator;
     exact, since the iteration stabilizes pointwise."""
-    _check_size(A, f)
+    check_size(A, f)
     ctx = _context(A)
     witnesses = {} if with_witnesses else None
     for a, b, cs, p, target in _star_pairs(A, ctx.star, f):
@@ -250,7 +252,7 @@ def compat_witness_lambda(A: ModalRirig, f: FiniteFunction,
     return CompatReport(True, witnesses=witnesses)
 
 
-def _lambda_witness(A: ModalRirig, cs, target):
+def _lambda_witness(A: Algebra, cs, target):
     """(least exponent l, slot indices of the certifying power product)."""
     l = 0
     level = list(cs)
@@ -265,7 +267,7 @@ def _lambda_witness(A: ModalRirig, cs, target):
         l += 1
 
 
-def _power_product_below(A: ModalRirig, values, target):
+def _power_product_below(A: Algebra, values, target):
     """Slot-index sequence whose value product drops below target, or
     None; breadth-first, so of minimal length."""
     best = {A.one: ()}
@@ -302,7 +304,7 @@ def _sweep_chunk(job):
     return out
 
 
-def agreement_sweep(A: ModalRirig, arity: int, count: int, seed: int,
+def agreement_sweep(A: Algebra, arity: int, count: int, seed: int,
                     jobs: int = 1):
     """Run the three compatibility routes over seeded random functions,
     returning the disagreeing ones (expected: none)."""
@@ -337,9 +339,9 @@ class LafRepresentation:
     verified: bool
 
 
-def laf_representation(A: ModalRirig, f: FiniteFunction, B) -> LafRepresentation:
+def laf_representation(A: Algebra, f: FiniteFunction, B) -> LafRepresentation:
     """Build and verify the representation; refuses incompatible functions."""
-    _check_size(A, f)
+    check_size(A, f)
     if not B:
         raise ValueError("B must be nonempty")
     points = tuple(sorted(tuple(p) for p in B))

@@ -1,8 +1,11 @@
-"""Finite residuated integral rigs: tables, axiom validation, order utilities.
+"""Finite residuated integral rigs with modal operators: tables, axiom
+validation, order utilities.
 
 An algebra lives on the index set 0..n-1.  The two binary tables `join` and
 `prod` together with the residual table `imp` and the distinguished indices
-`zero`, `one` determine everything; `a <= b` means `a v b == b`.
+`zero`, `one` determine the ririg; `a <= b` means `a v b == b`.  One unary
+table per name of the modal signature adds the modal operators; a plain
+ririg has the empty signature.
 """
 
 from __future__ import annotations
@@ -11,6 +14,35 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 Table = tuple[tuple[int, ...], ...]
+
+_RESERVED = {"0", "1", "bot", "top", "eps", "v"}
+
+
+@dataclass(frozen=True)
+class ModalSignature:
+    names: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.names))
+        if len(set(self.names)) != len(self.names):
+            raise ValueError("duplicate modal names")
+        for name in self.names:
+            bad = (not name.isidentifier() or name in _RESERVED
+                   or (name[0] == "v" and name[1:].isdigit()))
+            if bad:
+                raise ValueError(f"bad modal name {name!r}")
+
+    def __len__(self):
+        return len(self.names)
+
+    def index(self, name: str) -> int:
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise KeyError(f"unknown modal name {name!r}") from None
+
+
+EMPTY_SIGNATURE = ModalSignature(())
 
 
 def _freeze_table(rows) -> Table:
@@ -26,13 +58,27 @@ def _check_table(name: str, table: Table, n: int) -> None:
                 raise ValueError(f"{name} table entry {x} out of range [0,{n})")
 
 
+def _modal_tables(sig: ModalSignature, tables, n: int) -> Table:
+    """The modal tables frozen, one per name of `sig`, each of length n
+    with entries in range."""
+    tables = tuple(tuple(map(int, t)) for t in tables)
+    if len(tables) != len(sig):
+        raise ValueError("one table per modal name required")
+    for t in tables:
+        if len(t) != n or min(t) < 0 or max(t) >= n:
+            raise ValueError("modal table malformed")
+    return tables
+
+
 @dataclass(frozen=True)
-class FiniteRirig:
-    """Operation tables of a candidate residuated integral rig.
+class Algebra:
+    """Operation tables of a candidate I-modal residuated integral rig:
+    the ririg tables and one unary table per name of `sig`.
 
     Construction only checks shapes (entries in range); whether the tables
-    actually satisfy the axioms is the job of :func:`validate_ririg`, so that
-    deliberately broken candidates can be represented and reported on.
+    actually satisfy the axioms is the job of :func:`validate_ririg` and
+    ``modal.validate_modal``, so that deliberately broken candidates can be
+    represented and reported on.
     """
 
     size: int
@@ -41,6 +87,8 @@ class FiniteRirig:
     imp: Table
     zero: int
     one: int
+    sig: ModalSignature = EMPTY_SIGNATURE
+    modal_tables: Table = ()
 
     def __post_init__(self):
         n = self.size
@@ -53,10 +101,13 @@ class FiniteRirig:
             _check_table(name, getattr(self, name), n)
         if not (0 <= self.zero < n and 0 <= self.one < n):
             raise ValueError("zero/one out of range")
+        object.__setattr__(self, "modal_tables",
+                           _modal_tables(self.sig, self.modal_tables, n))
 
     @classmethod
-    def from_join_prod(cls, size, join, prod, zero, one) -> "FiniteRirig":
-        """Build an algebra synthesizing the residual table from join/prod.
+    def from_join_prod(cls, size, join, prod, zero, one) -> "Algebra":
+        """Build a plain algebra synthesizing the residual table from
+        join/prod.
 
         Raises ValueError when some residual does not exist.
         """
@@ -65,7 +116,25 @@ class FiniteRirig:
         imp = synthesize_imp(size, join, prod)
         return cls(size, join, prod, imp, zero, one)
 
+    def with_modals(self, sig: ModalSignature, tables) -> "Algebra":
+        """This algebra's ririg tables with `tables` as the modal operators
+        named by `sig`, in place of its own.
+
+        The ririg tables were checked when this algebra was built and are
+        shared, not copied; only the new modal tables are checked, by the
+        same rule as in the constructor.  The result equals, and hashes
+        like, the algebra built in one call from the same fields.
+        """
+        tables = _modal_tables(sig, tables, self.size)
+        out = object.__new__(type(self))
+        fields = out.__dict__
+        fields.update(self.__dict__)
+        fields["sig"] = sig
+        fields["modal_tables"] = tables
+        return out
+
     def leq(self, a: int, b: int) -> bool:
+        """Order test a <= b, i.e. a v b == b."""
         return self.join[a][b] == b
 
     def star(self, a: int, b: int) -> int:
@@ -74,6 +143,9 @@ class FiniteRirig:
 
     def elements(self):
         return range(self.size)
+
+    def modal(self, name: str) -> tuple[int, ...]:
+        return self.modal_tables[self.sig.index(name)]
 
 
 @dataclass(frozen=True)
@@ -92,38 +164,33 @@ class AxiomReport:
         assert self.passed == (not self.failures)
 
 
-def leq(A: FiniteRirig, a: int, b: int) -> bool:
-    """Order test a <= b, i.e. a v b == b."""
-    return A.join[a][b] == b
-
-
-def star(A: FiniteRirig, a: int, b: int) -> int:
-    return A.star(a, b)
-
-
-def residual_of(A: FiniteRirig, b: int, c: int) -> Optional[int]:
+def residual_of(A: Algebra, b: int, c: int) -> Optional[int]:
     """max { a : a*b <= c } computed from the join/prod tables only.
 
     Returns None when the set has no maximum, i.e. prod is not residuated
     at (b, c).  The imp table of A, if any, is deliberately ignored.
     """
-    candidates = [a for a in range(A.size) if leq(A, A.prod[a][b], c)]
+    return _residual(A.join, A.prod, b, c)
+
+
+def _residual(join: Table, prod: Table, b: int, c: int) -> Optional[int]:
+    candidates = [a for a in range(len(join)) if join[prod[a][b]][c] == c]
     for a in candidates:
-        if all(leq(A, x, a) for x in candidates):
+        if all(join[x][a] == a for x in candidates):
             return a
     return None
 
 
 def synthesize_imp(size: int, join: Table, prod: Table) -> Table:
-    """Residual table from join/prod; ValueError if any residual is absent."""
-    shell = FiniteRirig(size, join, prod,
-                        tuple(tuple(0 for _ in range(size)) for _ in range(size)),
-                        0, 0)
+    """Residual table from join/prod; ValueError if a table is not
+    size x size with entries in range, or if any residual is absent."""
+    _check_table("join", join, size)
+    _check_table("prod", prod, size)
     rows = []
     for b in range(size):
         row = []
         for c in range(size):
-            r = residual_of(shell, b, c)
+            r = _residual(join, prod, b, c)
             if r is None:
                 raise ValueError(f"not residuated at ({b},{c}): no maximum")
             row.append(r)
@@ -146,7 +213,7 @@ _AXIOMS = (
 )
 
 
-def validate_ririg(A: FiniteRirig) -> AxiomReport:
+def validate_ririg(A: Algebra) -> AxiomReport:
     """Check every defining axiom, reporting the first lexicographic witness
     per violated axiom."""
     n, j, p, imp = A.size, A.join, A.prod, A.imp
@@ -186,7 +253,7 @@ def validate_ririg(A: FiniteRirig) -> AxiomReport:
         "integrality": lambda: next(
             (((a,)) for a in range(n) if j[one][a] != one), None),
         "residuation": lambda: first3(
-            lambda a, b, c: leq(A, p[a][b], c) == leq(A, a, imp[b][c])),
+            lambda a, b, c: A.leq(p[a][b], c) == A.leq(a, imp[b][c])),
     }
     for name in _AXIOMS:
         witness = checks[name]()

@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 
 from .compat import FiniteFunction
-from .core import FiniteRirig, synthesize_imp
-from .modal import ModalRirig, ModalSignature
+from .core import Algebra, ModalSignature, synthesize_imp
 
 
 class FileFormatError(ValueError):
@@ -62,7 +61,7 @@ def _table_field(doc: dict, field: str, n: int):
     return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
 
 
-def algebra_from_dict(doc: dict) -> tuple[ModalRirig, list[str]]:
+def algebra_from_dict(doc: dict) -> tuple[Algebra, list[str]]:
     n = _int_field(doc, "size", 1, 2 ** 16)
     zero = _int_field(doc, "zero", 0, n)
     one = _int_field(doc, "one", 0, n)
@@ -78,7 +77,6 @@ def algebra_from_dict(doc: dict) -> tuple[ModalRirig, list[str]]:
             imp = synthesize_imp(n, join, prod)
         except ValueError as e:
             raise FileFormatError(f"cannot synthesize imp: {e}") from None
-    base = FiniteRirig(n, join, prod, imp, zero, one)
 
     modals = doc.get("modals", {})
     if not isinstance(modals, dict):
@@ -103,10 +101,11 @@ def algebra_from_dict(doc: dict) -> tuple[ModalRirig, list[str]]:
         raise FileFormatError(f"field 'labels': expected {n} strings")
     if len(set(labels)) != n:
         raise FileFormatError("field 'labels': labels must be distinct")
-    return ModalRirig(base, sig, tuple(tables)), list(labels)
+    return (Algebra(n, join, prod, imp, zero, one, sig, tuple(tables)),
+            list(labels))
 
 
-def load_algebra(path) -> tuple[ModalRirig, list[str]]:
+def load_algebra(path) -> tuple[Algebra, list[str]]:
     with open(path) as fh:
         doc = _load_json(fh.read(), str(path))
     try:
@@ -115,7 +114,7 @@ def load_algebra(path) -> tuple[ModalRirig, list[str]]:
         raise FileFormatError(f"{path}: {e}") from None
 
 
-def algebra_to_dict(A: ModalRirig, labels=None) -> dict:
+def algebra_to_dict(A: Algebra, labels=None) -> dict:
     doc = {
         "size": A.size,
         "zero": A.zero,
@@ -132,7 +131,7 @@ def algebra_to_dict(A: ModalRirig, labels=None) -> dict:
     return doc
 
 
-def save_algebra(A: ModalRirig, path, labels=None) -> None:
+def save_algebra(A: Algebra, path, labels=None) -> None:
     with open(path, "w") as fh:
         json.dump(algebra_to_dict(A, labels), fh, indent=1)
         fh.write("\n")

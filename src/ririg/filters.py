@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import FiniteRirig
-from .modal import (Block, ModalRirig, apply_block, enumerate_blocks,
+from .core import Algebra
+from .modal import (Block, apply_block, enumerate_blocks,
                     lambda_op, reachable_values)
 
 Subset = frozenset[int]
@@ -24,12 +24,12 @@ DEFAULT_SUBUNIVERSE_CAP = 6
 ALGEBRA_CACHE_SIZE = 64
 
 
-def up_set(A: ModalRirig | FiniteRirig, xs) -> Subset:
+def up_set(A: Algebra, xs) -> Subset:
     return frozenset(y for y in range(A.size)
                      if any(A.leq(x, y) for x in xs))
 
 
-def is_ifilter(A: ModalRirig, S) -> bool:
+def is_ifilter(A: Algebra, S) -> bool:
     """Nonempty, upward closed, product closed, closed under each modal."""
     S = frozenset(S)
     if not S:
@@ -47,7 +47,7 @@ def is_ifilter(A: ModalRirig, S) -> bool:
     return True
 
 
-def generate_filter(A: ModalRirig, X) -> Subset:
+def generate_filter(A: Algebra, X) -> Subset:
     """Least filter containing X, by closure fixpoint."""
     S = set(X)
     S.add(A.one)
@@ -69,7 +69,7 @@ def generate_filter(A: ModalRirig, X) -> Subset:
         S |= new
 
 
-def _products_up_to(A: ModalRirig, values, count: int | None = None
+def _products_up_to(A: Algebra, values, count: int | None = None
                     ) -> set[int]:
     """All products of at most `count` factors drawn from `values`
     (with repetition), of any number when count is None; the empty
@@ -85,7 +85,7 @@ def _products_up_to(A: ModalRirig, values, count: int | None = None
     return acc
 
 
-def generate_filter_blocks(A: ModalRirig, X, block_len_bound: int,
+def generate_filter_blocks(A: Algebra, X, block_len_bound: int,
                            product_len_bound: int) -> Subset:
     """Bounded generated-filter approximation from below: the up-set of all
     products of at most product_len_bound block applications, each block of
@@ -95,7 +95,7 @@ def generate_filter_blocks(A: ModalRirig, X, block_len_bound: int,
     return up_set(A, _products_up_to(A, values, product_len_bound))
 
 
-def generate_filter_blocks_stabilized(A: ModalRirig, X) -> Subset:
+def generate_filter_blocks_stabilized(A: Algebra, X) -> Subset:
     """Raise both bounds together until two consecutive rounds agree."""
     prev = generate_filter_blocks(A, X, 0, 0)
     t = 1
@@ -107,7 +107,7 @@ def generate_filter_blocks_stabilized(A: ModalRirig, X) -> Subset:
         t += 1
 
 
-def generate_filter_lambda(A: ModalRirig, X) -> Subset:
+def generate_filter_lambda(A: Algebra, X) -> Subset:
     """Generated filter via the single contraction operator: the up-set of
     all products of iterates sharing one exponent, exponents taken up to
     pointwise stabilization."""
@@ -122,7 +122,7 @@ def generate_filter_lambda(A: ModalRirig, X) -> Subset:
     return up_set(A, out)
 
 
-def all_ifilters(A: ModalRirig) -> list[Subset]:
+def all_ifilters(A: Algebra) -> list[Subset]:
     """Every filter, sorted by (cardinality, sorted members)."""
     n = A.size
     out = []
@@ -161,7 +161,7 @@ def partitions(n: int):
     yield from rec([0], 0)
 
 
-def is_congruence(A: ModalRirig, part: Partition) -> bool:
+def is_congruence(A: Algebra, part: Partition) -> bool:
     """Compatibility with join, prod, imp (both slots) and every modal."""
     n = A.size
     for a in range(n):
@@ -184,11 +184,11 @@ def is_congruence(A: ModalRirig, part: Partition) -> bool:
 
 
 @lru_cache(maxsize=ALGEBRA_CACHE_SIZE)
-def _congruences_cached(A: ModalRirig) -> tuple[Partition, ...]:
+def _congruences_cached(A: Algebra) -> tuple[Partition, ...]:
     return tuple(p for p in partitions(A.size) if is_congruence(A, p))
 
 
-def all_congruences_direct(A: ModalRirig, cap: int = DEFAULT_CONGRUENCE_CAP
+def all_congruences_direct(A: Algebra, cap: int = DEFAULT_CONGRUENCE_CAP
                            ) -> list[Partition]:
     """Brute-force enumeration over all partitions of the universe."""
     if A.size > cap:
@@ -196,7 +196,7 @@ def all_congruences_direct(A: ModalRirig, cap: int = DEFAULT_CONGRUENCE_CAP
     return list(_congruences_cached(A))
 
 
-def theta_from_filter(A: ModalRirig, F) -> Partition:
+def theta_from_filter(A: Algebra, F) -> Partition:
     """Congruence x ~ y iff star(x, y) in F."""
     F = frozenset(F)
     if not is_ifilter(A, F):
@@ -221,7 +221,7 @@ def theta_from_filter(A: ModalRirig, F) -> Partition:
     return normalize_partition(tuple(find(i) for i in range(n)))
 
 
-def filter_from_theta(A: ModalRirig, theta) -> Subset:
+def filter_from_theta(A: Algebra, theta) -> Subset:
     """The class of 1."""
     theta = tuple(theta)
     if not is_congruence(A, theta):
@@ -230,7 +230,7 @@ def filter_from_theta(A: ModalRirig, theta) -> Subset:
     return frozenset(i for i in range(A.size) if theta[i] == one_class)
 
 
-def congruence_join(A: ModalRirig, th1: Partition, th2: Partition) -> Partition:
+def congruence_join(A: Algebra, th1: Partition, th2: Partition) -> Partition:
     """Least congruence above both: transitive closure of the union,
     re-closed under all operations."""
     n = A.size
@@ -270,7 +270,7 @@ def congruence_join(A: ModalRirig, th1: Partition, th2: Partition) -> Partition:
     return normalize_partition(tuple(find(i) for i in range(n)))
 
 
-def principal_congruence(A: ModalRirig, x: int, y: int) -> Partition:
+def principal_congruence(A: Algebra, x: int, y: int) -> Partition:
     """Least congruence identifying x and y, via the generated filter of
     their symmetric implication product."""
     return theta_from_filter(A, generate_filter(A, {A.star(x, y)}))
@@ -288,7 +288,7 @@ class SimplicityWitness:
     lam_power: int
 
 
-def _shortest_zero_product(A: ModalRirig, a: int):
+def _shortest_zero_product(A: Algebra, a: int):
     """Minimal-length list of blocks M1..Mp with M1(a)*...*Mp(a) = 0, or
     None.  Searches the multiplicative closure of the block-reachable
     values of a, breadth-first in the number of factors."""
@@ -314,7 +314,7 @@ def _shortest_zero_product(A: ModalRirig, a: int):
     return best.get(A.zero)
 
 
-def _least_lambda_zero(A: ModalRirig, a: int):
+def _least_lambda_zero(A: Algebra, a: int):
     """Least l such that some power of the l-th iterate of a is 0,
     with the least such power; None when no l works."""
     l = 0
@@ -335,7 +335,7 @@ def _least_lambda_zero(A: ModalRirig, a: int):
         l += 1
 
 
-def is_simple(A: ModalRirig):
+def is_simple(A: Algebra):
     """(decision, witness map): simple iff the filter generated by any
     non-unit element is everything, i.e. each such element admits a product
     of block values equal to 0."""
@@ -354,7 +354,7 @@ def is_simple(A: ModalRirig):
     return True, witnesses
 
 
-def is_subdirectly_irreducible(A: ModalRirig):
+def is_subdirectly_irreducible(A: Algebra):
     """(decision, witness): true iff some b != 1 lies in the generated
     filter of every non-unit element; returns a maximal such b."""
     if A.size < 2:
@@ -375,7 +375,7 @@ def is_subdirectly_irreducible(A: ModalRirig):
 # ---------------------------------------------------------------------------
 # subuniverses and congruence extension
 
-def subuniverses(A: ModalRirig, cap: int = DEFAULT_SUBUNIVERSE_CAP
+def subuniverses(A: Algebra, cap: int = DEFAULT_SUBUNIVERSE_CAP
                  ) -> list[Subset]:
     """All subsets containing 0 and 1 closed under every operation."""
     n = A.size
@@ -397,17 +397,16 @@ def subuniverses(A: ModalRirig, cap: int = DEFAULT_SUBUNIVERSE_CAP
     return out
 
 
-def induced_subalgebra(A: ModalRirig, S) -> tuple[ModalRirig, list[int]]:
+def induced_subalgebra(A: Algebra, S) -> tuple[Algebra, list[int]]:
     """Restrict every table to the (closed) subset S, reindexing densely.
     Returns the subalgebra and the sorted list mapping new -> old index."""
     elems = sorted(S)
     idx = {e: i for i, e in enumerate(elems)}
     n = len(elems)
     tab = lambda T: tuple(tuple(idx[T[a][b]] for b in elems) for a in elems)
-    base = FiniteRirig(n, tab(A.join), tab(A.prod), tab(A.imp),
-                       idx[A.zero], idx[A.one])
     modals = tuple(tuple(idx[t[a]] for a in elems) for t in A.modal_tables)
-    return ModalRirig(base, A.sig, modals), elems
+    return Algebra(n, tab(A.join), tab(A.prod), tab(A.imp),
+                   idx[A.zero], idx[A.one], A.sig, modals), elems
 
 
 def restrict_congruence(theta: Partition, elems: list[int]) -> Partition:
@@ -418,7 +417,7 @@ def restrict_congruence(theta: Partition, elems: list[int]) -> Partition:
         for e in elems))
 
 
-def cep_check(A: ModalRirig, cap: int = DEFAULT_SUBUNIVERSE_CAP,
+def cep_check(A: Algebra, cap: int = DEFAULT_SUBUNIVERSE_CAP,
               congruence_cap: int = DEFAULT_CONGRUENCE_CAP):
     """Verify every congruence of every subalgebra extends to the whole
     algebra.  Returns (True, None) or (False, (subuniverse, congruence))

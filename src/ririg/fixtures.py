@@ -9,12 +9,11 @@ g3_id     g3 with the identity modal
 
 from __future__ import annotations
 
-from .core import FiniteRirig
-from .modal import ModalRirig, ModalSignature, bare
+from .core import Algebra, ModalSignature
 
 
-def b2() -> FiniteRirig:
-    return FiniteRirig(
+def b2() -> Algebra:
+    return Algebra(
         2,
         join=((0, 1), (1, 1)),
         prod=((0, 0), (0, 1)),
@@ -26,29 +25,29 @@ def _chain_join(n):
     return tuple(tuple(max(a, b) for b in range(n)) for a in range(n))
 
 
-def g3() -> FiniteRirig:
+def g3() -> Algebra:
     n = 3
     prod = tuple(tuple(min(a, b) for b in range(n)) for a in range(n))
     imp = tuple(tuple(2 if a <= b else b for b in range(n)) for a in range(n))
-    return FiniteRirig(n, _chain_join(n), prod, imp, 0, 2)
+    return Algebra(n, _chain_join(n), prod, imp, 0, 2)
 
 
-def luk3() -> FiniteRirig:
+def luk3() -> Algebra:
     n = 3
     prod = tuple(tuple(max(0, a + b - 2) for b in range(n)) for a in range(n))
     imp = tuple(tuple(min(2, 2 - a + b) for b in range(n)) for a in range(n))
-    return FiniteRirig(n, _chain_join(n), prod, imp, 0, 2)
+    return Algebra(n, _chain_join(n), prod, imp, 0, 2)
 
 
-def g3_delta() -> ModalRirig:
-    return ModalRirig(g3(), ModalSignature(("m",)), ((0, 0, 2),))
+def g3_delta() -> Algebra:
+    return g3().with_modals(ModalSignature(("m",)), ((0, 0, 2),))
 
 
-def g3_id() -> ModalRirig:
-    return ModalRirig(g3(), ModalSignature(("m",)), ((0, 1, 2),))
+def g3_id() -> Algebra:
+    return g3().with_modals(ModalSignature(("m",)), ((0, 1, 2),))
 
 
-def direct_product(A: ModalRirig, B: ModalRirig) -> ModalRirig:
+def direct_product(A: Algebra, B: Algebra) -> Algebra:
     """Componentwise product; both factors must share the signature.
     Element (i, j) gets index i * B.size + j."""
     if A.sig != B.sig:
@@ -67,26 +66,26 @@ def direct_product(A: ModalRirig, B: ModalRirig) -> ModalRirig:
                                   for k in range(na) for l in range(nb)))
         return tuple(rows)
 
-    base = FiniteRirig(
+    modals = tuple(
+        tuple(enc(ta[i], tb[j]) for i in range(na) for j in range(nb))
+        for ta, tb in zip(A.modal_tables, B.modal_tables))
+    return Algebra(
         n,
         join=tab(A.join, B.join),
         prod=tab(A.prod, B.prod),
         imp=tab(A.imp, B.imp),
         zero=enc(A.zero, B.zero),
-        one=enc(A.one, B.one))
-    modals = tuple(
-        tuple(enc(ta[i], tb[j]) for i in range(na) for j in range(nb))
-        for ta, tb in zip(A.modal_tables, B.modal_tables))
-    return ModalRirig(base, A.sig, modals)
+        one=enc(A.one, B.one),
+        sig=A.sig,
+        modal_tables=modals)
 
 
-def b2_pair_with_identity() -> ModalRirig:
+def b2_pair_with_identity() -> Algebra:
     """B2 x B2 with one identity modal on each side."""
-    sig = ModalSignature(("m",))
-    mb2 = ModalRirig(b2(), sig, ((0, 1),))
+    mb2 = b2().with_modals(ModalSignature(("m",)), ((0, 1),))
     return direct_product(mb2, mb2)
 
 
-def b2_pair() -> ModalRirig:
+def b2_pair() -> Algebra:
     """B2 x B2 with no modals."""
-    return direct_product(bare(b2()), bare(b2()))
+    return direct_product(b2(), b2())

@@ -14,7 +14,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .modal import Block, ModalSignature, enumerate_blocks
+from .core import ModalSignature
+from .modal import Block, enumerate_blocks
 from .parsing import ParseError, format_term, parse_formula
 from .terms import (BOT, TOP, Const, Equation, Imp, Join, ModalApp, Prod,
                     Term, Var, eval_term, modal_names_of, valuations,

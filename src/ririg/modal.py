@@ -9,120 +9,24 @@ letter is applied last.  The empty word is the identity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .core import AxiomReport, FiniteRirig, leq
+from .core import EMPTY_SIGNATURE, Algebra, AxiomReport, ModalSignature
 
 Block = tuple[int, ...]
 EPS: Block = ()
 
-_RESERVED = {"0", "1", "bot", "top", "eps", "v"}
 
-
-@dataclass(frozen=True)
-class ModalSignature:
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate modal names")
-        for name in self.names:
-            bad = (not name.isidentifier() or name in _RESERVED
-                   or (name[0] == "v" and name[1:].isdigit()))
-            if bad:
-                raise ValueError(f"bad modal name {name!r}")
-
-    def __len__(self):
-        return len(self.names)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown modal name {name!r}") from None
-
-
-EMPTY_SIGNATURE = ModalSignature(())
-
-
-@dataclass(frozen=True)
-class ModalRirig:
-    """A finite ririg expanded with one unary table per modal name.
-
-    Like FiniteRirig, construction is shape-checked only; validate_modal
-    decides whether the tables really are modal operators.
-    """
-
-    base: FiniteRirig
-    sig: ModalSignature
-    modal_tables: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "modal_tables",
-            tuple(tuple(int(x) for x in t) for t in self.modal_tables))
-        if len(self.modal_tables) != len(self.sig):
-            raise ValueError("one table per modal name required")
-        n = self.base.size
-        for t in self.modal_tables:
-            if len(t) != n or any(not 0 <= x < n for x in t):
-                raise ValueError("modal table malformed")
-
-    # Convenience pass-throughs so call sites read like the algebra itself.
-    @property
-    def size(self):
-        return self.base.size
-
-    @property
-    def join(self):
-        return self.base.join
-
-    @property
-    def prod(self):
-        return self.base.prod
-
-    @property
-    def imp(self):
-        return self.base.imp
-
-    @property
-    def zero(self):
-        return self.base.zero
-
-    @property
-    def one(self):
-        return self.base.one
-
-    def leq(self, a, b):
-        return self.base.leq(a, b)
-
-    def star(self, a, b):
-        return self.base.star(a, b)
-
-    def elements(self):
-        return range(self.base.size)
-
-    def modal(self, name: str) -> tuple[int, ...]:
-        return self.modal_tables[self.sig.index(name)]
-
-
-def bare(A: FiniteRirig) -> ModalRirig:
-    """View a plain ririg as a modal algebra with empty signature."""
-    return ModalRirig(A, EMPTY_SIGNATURE, ())
-
-
-def validate_modal(A: ModalRirig) -> AxiomReport:
+def validate_modal(A: Algebra) -> AxiomReport:
     """Check m(1)=1 and m(x->y) <= m(x)->m(y) for every modal table."""
-    base, n = A.base, A.size
+    n, imp, one, leq = A.size, A.imp, A.one, A.leq
     failures = []
     for name, t in zip(A.sig.names, A.modal_tables):
-        if t[base.one] != base.one:
+        if t[one] != one:
             failures.append((f"{name}: m(1)=1", ()))
         witness = None
         for x in range(n):
             for y in range(n):
-                if not leq(base, t[base.imp[x][y]], base.imp[t[x]][t[y]]):
+                if not leq(t[imp[x][y]], imp[t[x]][t[y]]):
                     witness = (x, y)
                     break
             if witness:
@@ -132,20 +36,19 @@ def validate_modal(A: ModalRirig) -> AxiomReport:
     return AxiomReport(passed=not failures, failures=tuple(failures))
 
 
-def check_product_form(A: ModalRirig, name: str) -> bool:
+def check_product_form(A: Algebra, name: str) -> bool:
     """Whether m(x)*m(y) <= m(x*y) holds for all x, y.
 
     For tables that already pass validate_modal this is equivalent to the
     implication inequality; for arbitrary tables it is strictly weaker.
     """
     t = A.modal(name)
-    base = A.base
     return all(
-        leq(base, base.prod[t[x]][t[y]], t[base.prod[x][y]])
+        A.leq(A.prod[t[x]][t[y]], t[A.prod[x][y]])
         for x in range(A.size) for y in range(A.size))
 
 
-def apply_block(A: ModalRirig, block: Block, a: int) -> int:
+def apply_block(A: Algebra, block: Block, a: int) -> int:
     """Interpret a block word at a: rightmost letter applied first."""
     for i in reversed(block):
         a = A.modal_tables[i][a]
@@ -161,7 +64,7 @@ def enumerate_blocks(sig: ModalSignature, max_len: int):
         yield from itertools.product(range(k), repeat=length)
 
 
-def lambda_op(A: ModalRirig, a: int) -> int:
+def lambda_op(A: Algebra, a: int) -> int:
     """a multiplied by all of its modal images; the identity when the
     signature is empty."""
     out = a
@@ -170,13 +73,13 @@ def lambda_op(A: ModalRirig, a: int) -> int:
     return out
 
 
-def lambda_iter(A: ModalRirig, l: int, a: int) -> int:
+def lambda_iter(A: Algebra, l: int, a: int) -> int:
     for _ in range(l):
         a = lambda_op(A, a)
     return a
 
 
-def lambda_stabilization(A: ModalRirig, a: int) -> tuple[int, int]:
+def lambda_stabilization(A: Algebra, a: int) -> tuple[int, int]:
     """(stable value, least l reaching it); the iteration sequence is
     weakly decreasing, so two equal consecutive values end it."""
     l = 0
@@ -188,7 +91,7 @@ def lambda_stabilization(A: ModalRirig, a: int) -> tuple[int, int]:
         l += 1
 
 
-def reachable_values(A: ModalRirig, a: int, max_len: int | None = None
+def reachable_values(A: Algebra, a: int, max_len: int | None = None
                      ) -> dict[int, Block]:
     """Map each value M(a) attainable by some block M to a shortest such M.
 

@@ -7,7 +7,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Union
 
-from .modal import Block, ModalRirig, ModalSignature, apply_block
+from .core import Algebra, ModalSignature
+from .modal import Block, apply_block
 
 DEFAULT_VALUATION_CAP = 256
 
@@ -86,7 +87,7 @@ def modal_names_of(t: Term) -> set[str]:
     raise TypeError(f"not a term: {t!r}")
 
 
-def eval_term(A: ModalRirig, valuation: dict[int, int], t: Term) -> int:
+def eval_term(A: Algebra, valuation: dict[int, int], t: Term) -> int:
     match t:
         case Var(i):
             try:
@@ -106,7 +107,7 @@ def eval_term(A: ModalRirig, valuation: dict[int, int], t: Term) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
-def valuations(A: ModalRirig, variables, cap: int | None = DEFAULT_VALUATION_CAP):
+def valuations(A: Algebra, variables, cap: int | None = DEFAULT_VALUATION_CAP):
     """All assignments for the given variables in lexicographic order."""
     vs = sorted(variables)
     if cap is not None and A.size ** len(vs) > cap:
@@ -117,7 +118,7 @@ def valuations(A: ModalRirig, variables, cap: int | None = DEFAULT_VALUATION_CAP
         yield dict(zip(vs, combo))
 
 
-def holds(A: ModalRirig, eq: Equation, cap: int | None = DEFAULT_VALUATION_CAP):
+def holds(A: Algebra, eq: Equation, cap: int | None = DEFAULT_VALUATION_CAP):
     """Exhaustive equation check; returns (True, None) or (False, v) with
     the first failing valuation in lexicographic order."""
     vars_ = variables_of(eq.lhs) | variables_of(eq.rhs)
@@ -127,31 +128,31 @@ def holds(A: ModalRirig, eq: Equation, cap: int | None = DEFAULT_VALUATION_CAP):
     return True, None
 
 
-def is_chain(A: ModalRirig) -> bool:
+def is_chain(A: Algebra) -> bool:
     return all(A.leq(a, b) or A.leq(b, a)
                for a in range(A.size) for b in range(A.size))
 
 
-def is_contractive(A: ModalRirig) -> bool:
+def is_contractive(A: Algebra) -> bool:
     """Every modal table sits below the identity pointwise.  Independent of
     modal validity, so it also classifies broken tables."""
     return all(A.leq(t[x], x) for t in A.modal_tables for x in range(A.size))
 
 
-def satisfies_prelinearity(A: ModalRirig) -> bool:
+def satisfies_prelinearity(A: Algebra) -> bool:
     """(a -> b) v (b -> a) = 1 for all pairs."""
     return all(A.join[A.imp[a][b]][A.imp[b][a]] == A.one
                for a in range(A.size) for b in range(A.size))
 
 
-def satisfies_join_subdistribution(A: ModalRirig, name: str) -> bool:
+def satisfies_join_subdistribution(A: Algebra, name: str) -> bool:
     """m(a v b) <= m(a) v m(b) for all pairs."""
     t = A.modal(name)
     return all(A.leq(t[A.join[a][b]], A.join[t[a]][t[b]])
                for a in range(A.size) for b in range(A.size))
 
 
-def in_chain_variety(A: ModalRirig) -> bool:
+def in_chain_variety(A: Algebra) -> bool:
     """Membership in the equationally-defined class generated by chains:
     contractive, prelinear, and join-subdistributive for every modal."""
     return (is_contractive(A)
@@ -183,7 +184,7 @@ def join_splitting_block(sig: ModalSignature, M: Block, N: Block) -> Block:
     return (M[0], M[0], N[0])
 
 
-def verify_join_splitting(A: ModalRirig, M: Block, N: Block) -> bool:
+def verify_join_splitting(A: Algebra, M: Block, N: Block) -> bool:
     """Semantic check of the defining inequality of join_splitting_block."""
     Q = join_splitting_block(A.sig, M, N)
     return all(
@@ -192,7 +193,7 @@ def verify_join_splitting(A: ModalRirig, M: Block, N: Block) -> bool:
         for x in range(A.size) for y in range(A.size))
 
 
-def fg_intersection_check(A: ModalRirig):
+def fg_intersection_check(A: Algebra):
     """Fg(a v b) = Fg(a) & Fg(b) for all pairs; only meaningful inside the
     chain-generated class, hence the refusal."""
     from .filters import generate_filter

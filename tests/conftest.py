@@ -3,7 +3,6 @@ import pytest
 from ririg.catalog import catalog_build
 from ririg.fixtures import b2, b2_pair, b2_pair_with_identity, g3, g3_delta, \
     g3_id, luk3
-from ririg.modal import bare
 
 
 @pytest.fixture(scope="session")
@@ -60,4 +59,4 @@ def B2B2_ID():
 
 @pytest.fixture
 def MB2():
-    return bare(b2())
+    return b2()

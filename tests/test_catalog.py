@@ -8,31 +8,29 @@ import pytest
 from ririg.catalog import Catalog, canonical_form, \
     catalog_build, catalog_load, catalog_loads, catalog_save, \
     enumerate_modal_expansions, enumerate_ririgs
-from ririg.core import FiniteRirig, synthesize_imp, validate_ririg
+from ririg.core import Algebra, synthesize_imp, validate_ririg
 from ririg.fixtures import b2, g3, g3_delta, g3_id, luk3
-from ririg.modal import ModalRirig, ModalSignature, bare, \
-    validate_modal
+from ririg.modal import ModalSignature, validate_modal
 from ririg.terms import in_chain_variety, is_chain, is_contractive
 
 
-def permuted(A: ModalRirig, perm) -> ModalRirig:
+def permuted(A: Algebra, perm) -> Algebra:
     n = A.size
     inv = [0] * n
     for i, p in enumerate(perm):
         inv[p] = i
     tab = lambda T: tuple(tuple(perm[T[inv[a]][inv[b]]] for b in range(n))
                           for a in range(n))
-    base = FiniteRirig(n, tab(A.join), tab(A.prod), tab(A.imp),
-                       perm[A.zero], perm[A.one])
     modals = tuple(tuple(perm[t[inv[a]]] for a in range(n))
                    for t in A.modal_tables)
-    return ModalRirig(base, A.sig, modals)
+    return Algebra(n, tab(A.join), tab(A.prod), tab(A.imp),
+                   perm[A.zero], perm[A.one], A.sig, modals)
 
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 
 
-def brute_force_form(A: ModalRirig) -> bytes:
+def brute_force_form(A: Algebra) -> bytes:
     """Oracle for canonical_form: the minimum over all n! relabelings."""
     n = A.size
     best = None
@@ -52,7 +50,7 @@ def brute_force_form(A: ModalRirig) -> bytes:
     return best
 
 
-def displacing_relabeling(A: ModalRirig, rng) -> tuple[int, ...]:
+def displacing_relabeling(A: Algebra, rng) -> tuple[int, ...]:
     """A random relabeling that moves zero off 0 and one off n-1."""
     n = A.size
     perm = list(range(n))
@@ -102,13 +100,13 @@ def test_expansions_zero_modals():
 
 def test_expansions_validate(catalog4):
     for A in catalog4:
-        assert validate_ririg(A.base).passed
+        assert validate_ririg(A).passed
         assert validate_modal(A).passed
 
 
 def test_canonical_form_invariant_under_relabeling():
     rng = random.Random(3)
-    for A in (g3_delta(), g3_id(), bare(luk3())):
+    for A in (g3_delta(), g3_id(), luk3()):
         for _ in range(5):
             perm = list(range(A.size))
             rng.shuffle(perm)
@@ -141,10 +139,10 @@ def test_canonical_form_matches_oracle_off_ririgs():
                          for _ in range(n)]
         zero = rng.randrange(n)
         one = zero if trial % 2 else rng.randrange(n)
-        base = FiniteRirig(n, table(), table(), table(), zero, one)
-        M = ModalRirig(base, ModalSignature(("m1",)),
-                       (tuple(rng.randrange(n) for _ in range(n)),))
-        for A in (bare(base), M):
+        base = Algebra(n, table(), table(), table(), zero, one)
+        M = base.with_modals(ModalSignature(("m1",)),
+                             (tuple(rng.randrange(n) for _ in range(n)),))
+        for A in (base, M):
             assert canonical_form(A) == brute_force_form(A)
 
 
@@ -261,7 +259,7 @@ def naive_enumerate_size3():
                 imp = synthesize_imp(n, join, prod)
             except ValueError:
                 continue
-            A = FiniteRirig(n, join, prod, imp, 0, 2)
+            A = Algebra(n, join, prod, imp, 0, 2)
             found[canonical_form(A)] = A
     return found
 

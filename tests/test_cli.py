@@ -215,10 +215,10 @@ def test_sweep_options_must_be_positive(capsys):
 def test_witness_commands_refuse_invalid_algebra(capsys, tmp_path):
     from ririg.catalog import enumerate_ririgs
     from ririg.files import save_algebra
-    from ririg.modal import ModalRirig, ModalSignature
+    from ririg.modal import ModalSignature
     alg, fn = tmp_path / "bad.alg", tmp_path / "bad.fn"
-    save_algebra(ModalRirig(enumerate_ririgs(4)[4], ModalSignature(("m",)),
-                            ((2, 0, 1, 3),)), alg)
+    save_algebra(enumerate_ririgs(4)[4].with_modals(ModalSignature(("m",)),
+                                                    ((2, 0, 1, 3),)), alg)
     fn.write_text(json.dumps({"arity": 2, "table": [
         2, 2, 2, 2, 2, 0, 0, 0, 3, 3, 1, 3, 3, 2, 3, 1]}))
     runs = [["compatible", alg, "--fn", fn, "--route", route]
@@ -254,3 +254,53 @@ def test_jobs_flag_does_not_change_output(capsys):
     _, two = run_json(capsys, "compatible", DATA / "g3delta.alg",
                       "--random", "40", "--seed", "5", "--jobs", "2")
     assert one == two
+
+
+def test_compatible_refuses_function_of_wrong_size(capsys):
+    witness = json.dumps({"congruence": "{0,1}", "pairs": [["0", "0"]]})
+    for extra in ([], ["--route", "lambda"], ["--verify-witness", witness]):
+        code = main(["compatible", str(DATA / "b2.alg"),
+                     "--fn", str(DATA / "fn_g3_step.fn")] + extra)
+        assert code == 2
+        assert "function table size 3 does not match the algebra size 2" \
+            in capsys.readouterr().err
+
+
+def test_compat_witness_labels_and_pair_count_checked(capsys):
+    cases = (
+        ({"congruence": "{0} | {q}", "pairs": [["0", "0"]]},
+         "unknown element 'q'"),
+        ({"congruence": "{0} | {a,1}", "pairs": [["0", "q"]]},
+         "unknown element 'q'"),
+        ({"congruence": "{0} | {a,1}", "pairs": [[0, 1]]},
+         "unknown element 0"),
+        ({"congruence": "{0,1,2}", "pairs": [["0", "1"], ["0", "1"]]},
+         "witness has 2 pairs but the function has arity 1"),
+    )
+    for witness, message in cases:
+        code = main(["compatible", str(DATA / "g3id.alg"),
+                     "--fn", str(DATA / "fn_g3_collapse.fn"),
+                     "--verify-witness", json.dumps(witness)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_compat_witness_partition_must_cover_each_element_once(capsys):
+    for text, message in (("{0} | {1}", "no class holds a"),
+                          ("{0,a} | {a,1}", "element 'a' appears twice")):
+        witness = {"congruence": text, "pairs": [["a", "1"]]}
+        code = main(["compatible", str(DATA / "g3id.alg"),
+                     "--fn", str(DATA / "fn_g3_collapse.fn"),
+                     "--verify-witness", json.dumps(witness)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_witness_must_be_a_json_object(capsys):
+    for argv in (["check", DATA / "g3id.alg"],
+                 ["compatible", DATA / "g3id.alg",
+                  "--fn", DATA / "fn_g3_collapse.fn"]):
+        assert main([str(a) for a in argv]
+                    + ["--verify-witness", "[1]"]) == 2
+        assert "--verify-witness must be a JSON object" \
+            in capsys.readouterr().err

@@ -7,7 +7,7 @@ from ririg.compat import FiniteFunction, agreement_sweep, \
     all_unary_functions, compat_witness_kary, compat_witness_lambda, \
     is_compatible_direct, laf_representation, random_function, slot_function
 from ririg.fixtures import luk3
-from ririg.modal import ModalRirig, ModalSignature, apply_block, lambda_iter
+from ririg.modal import ModalSignature, apply_block, lambda_iter
 from ririg.terms import eval_term
 from ririg.parsing import parse_term
 
@@ -62,9 +62,9 @@ def godel4_with_step_down():
     join = tuple(tuple(max(a, b) for b in range(n)) for a in range(n))
     prod = tuple(tuple(min(a, b) for b in range(n)) for a in range(n))
     imp = tuple(tuple(3 if a <= b else b for b in range(n)) for a in range(n))
-    from ririg.core import FiniteRirig
-    base = FiniteRirig(n, join, prod, imp, 0, 3)
-    return ModalRirig(base, ModalSignature(("m",)), ((0, 0, 1, 3),))
+    from ririg.core import Algebra
+    base = Algebra(n, join, prod, imp, 0, 3)
+    return base.with_modals(ModalSignature(("m",)), ((0, 0, 1, 3),))
 
 
 def test_bounded_mode_can_be_undecided():
@@ -92,7 +92,7 @@ def test_three_route_agreement_needs_products():
     # x*x = 0 and a constant-one modal force genuine power products: the
     # congruence lattice is trivial so everything is compatible, but no
     # single block value of a lands below star(f(a), f(1)) = 0
-    A = ModalRirig(luk3(), ModalSignature(("m",)), ((2, 2, 2),))
+    A = luk3().with_modals(ModalSignature(("m",)), ((2, 2, 2),))
     f = FiniteFunction(1, (0, 0, 2))
     assert is_compatible_direct(A, f).compatible
     blocks = compat_witness_kary(A, f)
@@ -147,8 +147,8 @@ def test_three_route_agreement_ternary(catalog3):
 def test_witness_routes_refuse_invalid_algebra():
     # m fails m(x->y) <= m(x)->m(y), so filter generation by blocks or by
     # contraction iterates need not give the filters of this algebra
-    A = ModalRirig(enumerate_ririgs(4)[4], ModalSignature(("m",)),
-                   ((2, 0, 1, 3),))
+    A = enumerate_ririgs(4)[4].with_modals(ModalSignature(("m",)),
+                                           ((2, 0, 1, 3),))
     f = FiniteFunction(2, (2, 2, 2, 2, 2, 0, 0, 0, 3, 3, 1, 3, 3, 2, 3, 1))
     for route in (compat_witness_kary, compat_witness_lambda):
         with pytest.raises(ValueError, match="m\\(x->y\\)"):
@@ -237,7 +237,7 @@ def test_laf_refuses_incompatible(G3I):
 
 
 def test_laf_needs_power_products():
-    A = ModalRirig(luk3(), ModalSignature(("m",)), ((2, 2, 2),))
+    A = luk3().with_modals(ModalSignature(("m",)), ((2, 2, 2),))
     f = FiniteFunction(1, (2, 0, 0))
     rep = laf_representation(A, f, [(x,) for x in range(3)])
     assert rep.verified

@@ -1,7 +1,7 @@
 import pytest
 
-from ririg.core import FiniteRirig, leq, residual_of, star, synthesize_imp, \
-    validate_ririg
+from ririg.core import EMPTY_SIGNATURE, Algebra, ModalSignature, \
+    residual_of, synthesize_imp, validate_ririg
 from ririg.fixtures import b2, g3, luk3
 
 
@@ -10,8 +10,8 @@ def altered(A, table_name, i, j, value):
               "prod": [list(r) for r in A.prod],
               "imp": [list(r) for r in A.imp]}
     tables[table_name][i][j] = value
-    return FiniteRirig(A.size, tables["join"], tables["prod"],
-                       tables["imp"], A.zero, A.one)
+    return Algebra(A.size, tables["join"], tables["prod"],
+                   tables["imp"], A.zero, A.one)
 
 
 def test_b2_is_a_ririg():
@@ -42,36 +42,36 @@ def test_broken_commutativity_named():
 
 def test_shape_error_on_out_of_range_entry():
     with pytest.raises(ValueError):
-        FiniteRirig(2, ((0, 1), (1, 2)), ((0, 0), (0, 1)),
-                    ((1, 1), (0, 1)), 0, 1)
+        Algebra(2, ((0, 1), (1, 2)), ((0, 0), (0, 1)),
+                ((1, 1), (0, 1)), 0, 1)
 
 
 def test_leq_examples():
     G = g3()
-    assert leq(G, 0, 1)           # bottom below a
-    assert leq(G, 1, 2) and G.imp[1][2] == 2   # a <= 1 and a -> 1 = 1
-    assert not leq(G, 2, 1)
+    assert G.leq(0, 1)            # bottom below a
+    assert G.leq(1, 2) and G.imp[1][2] == 2   # a <= 1 and a -> 1 = 1
+    assert not G.leq(2, 1)
 
 
 def test_leq_matches_imp_characterization():
     for A in (b2(), g3(), luk3()):
         for a in range(A.size):
             for b in range(A.size):
-                assert leq(A, a, b) == (A.imp[a][b] == A.one)
+                assert A.leq(a, b) == (A.imp[a][b] == A.one)
 
 
 def test_star_examples():
     G = g3()
-    assert star(G, 1, 1) == 2     # a * a = 1
-    assert star(G, 0, 1) == 0     # (0 -> a)(a -> 0) = 1 * 0 = 0
-    assert star(G, 1, 2) == 1     # (a -> 1)(1 -> a) = 1 * a = a
+    assert G.star(1, 1) == 2      # a * a = 1
+    assert G.star(0, 1) == 0      # (0 -> a)(a -> 0) = 1 * 0 = 0
+    assert G.star(1, 2) == 1      # (a -> 1)(1 -> a) = 1 * a = a
 
 
 def test_star_symmetric():
     for A in (g3(), luk3()):
         for a in range(A.size):
             for b in range(A.size):
-                assert star(A, a, b) == star(A, b, a)
+                assert A.star(a, b) == A.star(b, a)
 
 
 def test_residual_of_examples():
@@ -89,8 +89,7 @@ def test_residual_reconstructs_imp():
 
 
 def test_residual_reconstructs_imp_on_catalog(catalog4):
-    for M in catalog4:
-        A = M.base
+    for A in catalog4:
         assert synthesize_imp(A.size, A.join, A.prod) == A.imp
 
 
@@ -99,7 +98,47 @@ def test_residual_absent_when_not_residuated():
     # which has two incomparable maximal elements and hence no maximum
     join = ((0, 1, 2, 3), (1, 1, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3))
     prod = ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 3, 0, 0))
-    A = FiniteRirig(4, join, prod, join, 0, 3)
+    A = Algebra(4, join, prod, join, 0, 3)
     assert residual_of(A, 1, 0) is None
     with pytest.raises(ValueError):
         synthesize_imp(4, join, prod)
+
+
+def test_from_join_prod_synthesizes_imp():
+    for A in (b2(), g3(), luk3()):
+        assert Algebra.from_join_prod(A.size, A.join, A.prod,
+                                      A.zero, A.one) == A
+
+
+@pytest.mark.parametrize("tables", [
+    (),                          # one table per name required
+    ((0, 0, 2), (0, 1, 2)),
+    ((0, 2),),                   # wrong length
+    ((0, 1, 3),),                # entry out of range
+    ((0, -1, 2),),
+])
+def test_with_modals_rejects_what_the_constructor_rejects(tables):
+    G, sig = g3(), ModalSignature(("m",))
+    with pytest.raises(ValueError) as built:
+        Algebra(G.size, G.join, G.prod, G.imp, G.zero, G.one, sig, tables)
+    with pytest.raises(ValueError) as expanded:
+        G.with_modals(sig, tables)
+    assert str(expanded.value) == str(built.value)
+
+
+def test_expansion_equals_and_hashes_like_one_call_build(catalog4):
+    # the per-algebra lru_caches are keyed on whole algebras
+    from ririg.compat import _context
+    for M in catalog4:
+        whole = Algebra(M.size, [list(r) for r in M.join], M.prod, M.imp,
+                        M.zero, M.one, M.sig,
+                        [list(t) for t in M.modal_tables])
+        assert whole == M and hash(whole) == hash(M)
+        reduct = M.with_modals(EMPTY_SIGNATURE, ())
+        assert reduct == Algebra(M.size, M.join, M.prod, M.imp, M.zero, M.one)
+        again = reduct.with_modals(M.sig, M.modal_tables)
+        assert again == M and hash(again) == hash(M)
+    M = catalog4[-1]
+    assert _context(M) is _context(
+        Algebra(M.size, M.join, M.prod, M.imp, M.zero, M.one, M.sig,
+                M.modal_tables))

@@ -8,7 +8,6 @@ from ririg.files import FileFormatError, algebra_from_dict, algebra_to_dict, \
     load_algebra, load_function, save_algebra, save_function
 from ririg.fixtures import g3_delta, luk3
 from ririg.compat import FiniteFunction
-from ririg.modal import bare
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 
@@ -32,7 +31,7 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_flat_tables_accepted():
-    doc = algebra_to_dict(bare(luk3()))
+    doc = algebra_to_dict(luk3())
     doc["join"] = [x for row in doc["join"] for x in row]
     A, _ = algebra_from_dict(doc)
     assert A.join == luk3().join

@@ -8,7 +8,7 @@ from ririg.logic import Ax, Hyp, JoinElim, MP, Nec, Proof, ProofLine, \
     check_proof, lambda_formula, lddt_witness, match_schema, \
     parse_justification, parse_proof, rho, semantic_entails, \
     soundness_check, tau, tau_set
-from ririg.modal import ModalSignature, bare, format_block
+from ririg.modal import ModalSignature, format_block
 from ririg.parsing import format_term, parse_equation, parse_formula
 from ririg.terms import BOT, TOP, Const, Equation, Imp, Join, ModalApp, \
     Prod, Var, eval_term, valuations, variables_of
@@ -138,7 +138,7 @@ def test_semantic_entails_modus_ponens(catalog3_modal):
 
 
 def test_semantic_entails_excluded_middle_fails_on_g3():
-    catalog = [bare(g3())]
+    catalog = [g3()]
     ok, cm = semantic_entails(catalog, [],
                               parse_equation("(v0 | (v0 -> bot)) = 1"))
     assert not ok
@@ -155,7 +155,7 @@ def test_semantic_entails_nec(catalog3_modal):
 def test_semantic_entails_signature_mismatch(catalog3_modal):
     with pytest.raises(ValueError):
         semantic_entails(catalog3_modal, [], parse_equation("k9(v0) = 1"))
-    mixed = catalog3_modal + [bare(g3())]
+    mixed = catalog3_modal + [g3()]
     with pytest.raises(ValueError):
         semantic_entails(mixed, [], parse_equation("v0 = 1"))
 
@@ -163,7 +163,7 @@ def test_semantic_entails_signature_mismatch(catalog3_modal):
 def test_soundness_rejects_invalid_sequent():
     # an (imagined) checker accepting p |- q would fail this gate, with the
     # countermodel sitting already in the two-element algebra
-    catalog = [bare(b2()), bare(g3())]
+    catalog = [b2(), g3()]
     ok, cm = semantic_entails(catalog, list(tau_set([P])),
                               Equation(Q, Const(1)))
     assert not ok

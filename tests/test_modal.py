@@ -1,15 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ririg.core import leq
 from ririg.fixtures import g3, g3_delta, g3_id
-from ririg.modal import EPS, ModalRirig, ModalSignature, apply_block, \
+from ririg.modal import EPS, ModalSignature, apply_block, \
     check_product_form, enumerate_blocks, format_block, lambda_iter, \
     lambda_op, parse_block, reachable_values, validate_modal
 
 
 def with_modal(table):
-    return ModalRirig(g3(), ModalSignature(("m",)), (tuple(table),))
+    return g3().with_modals(ModalSignature(("m",)), (tuple(table),))
 
 
 def test_validate_modal_fixtures():
@@ -59,8 +58,8 @@ def test_modal_monotone(catalog4):
         for t in A.modal_tables:
             for a in range(A.size):
                 for b in range(A.size):
-                    if leq(A.base, a, b):
-                        assert leq(A.base, t[a], t[b])
+                    if A.leq(a, b):
+                        assert A.leq(t[a], t[b])
 
 
 def test_apply_block_examples():
@@ -73,7 +72,7 @@ def test_apply_block_examples():
 def test_block_orientation_rightmost_first():
     # table g: 0,a,1 -> a,1,1 is modal on g3; word "g m" must apply m first
     g_table = (1, 2, 2)
-    A = ModalRirig(g3(), ModalSignature(("m", "g")), ((0, 0, 2), g_table))
+    A = g3().with_modals(ModalSignature(("m", "g")), ((0, 0, 2), g_table))
     assert validate_modal(A).passed
     # (g m)(a): m(a)=0, then g(0)=a
     assert apply_block(A, (1, 0), 1) == 1
@@ -95,7 +94,7 @@ def test_blocks_are_modal_operators(catalog4):
     for A in catalog4:
         for M in enumerate_blocks(A.sig, 3):
             table = tuple(apply_block(A, M, a) for a in range(A.size))
-            expanded = ModalRirig(A.base, ModalSignature(("q",)), (table,))
+            expanded = A.with_modals(ModalSignature(("q",)), (table,))
             assert validate_modal(expanded).passed
 
 
@@ -125,16 +124,16 @@ def test_lambda_properties(catalog4):
     for A in catalog4:
         lam = tuple(lambda_op(A, x) for x in range(A.size))
         for x in range(A.size):
-            assert leq(A.base, lam[x], x)           # contraction
+            assert A.leq(lam[x], x)                 # contraction
         assert lam[A.zero] == A.zero and lam[A.one] == A.one
         # the operator is itself modal
-        expanded = ModalRirig(A.base, ModalSignature(("q",)), (lam,))
+        expanded = A.with_modals(ModalSignature(("q",)), (lam,))
         assert validate_modal(expanded).passed
         # iterates decrease
         for x in range(A.size):
             for l in range(A.size + 1):
-                assert leq(A.base, lambda_iter(A, l + 1, x),
-                           lambda_iter(A, l, x))
+                assert A.leq(lambda_iter(A, l + 1, x),
+                             lambda_iter(A, l, x))
 
 
 def test_lambda_empty_signature_is_identity(MB2):

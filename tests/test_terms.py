@@ -1,7 +1,8 @@
 import pytest
 
+from ririg.core import EMPTY_SIGNATURE
 from ririg.fixtures import g3, g3_delta
-from ririg.modal import ModalRirig, ModalSignature, bare, enumerate_blocks
+from ririg.modal import ModalSignature, enumerate_blocks
 from ririg.parsing import parse_equation, parse_term
 from ririg.terms import eval_term, fg_intersection_check, holds, \
     in_chain_variety, is_chain, is_contractive, join_splitting_block, \
@@ -10,14 +11,14 @@ from ririg.terms import eval_term, fg_intersection_check, holds, \
 
 
 def test_eval_term_examples(G3, G3D):
-    A = bare(G3)
+    A = G3
     assert eval_term(A, {0: 1}, parse_term("v0 -> v0")) == 2
     assert eval_term(g3_delta(), {0: 1}, parse_term("m(v0)")) == 0
     assert eval_term(A, {0: 1, 1: 0}, parse_term("v0 * (v1 | v0)")) == 1
 
 
 def test_eval_term_errors(G3):
-    A = bare(G3)
+    A = G3
     with pytest.raises(KeyError):
         eval_term(A, {}, parse_term("v0"))
     with pytest.raises(KeyError):
@@ -25,11 +26,11 @@ def test_eval_term_errors(G3):
 
 
 def test_holds_examples(G3, G3D):
-    ok, _ = holds(bare(G3), parse_equation("(v0 -> v1) | (v1 -> v0) = 1"))
+    ok, _ = holds(G3, parse_equation("(v0 -> v1) | (v1 -> v0) = 1"))
     assert ok
     ok, counter = holds(G3D, parse_equation("m(v0) = v0"))
     assert not ok and counter == {0: 1}
-    assert holds(bare(G3), parse_equation("v0 = v0")) == (True, None)
+    assert holds(G3, parse_equation("v0 = v0")) == (True, None)
 
 
 def test_holds_first_countervaluation_is_lexicographic(G3I):
@@ -41,15 +42,15 @@ def test_holds_first_countervaluation_is_lexicographic(G3I):
 def test_holds_valuation_cap(G3):
     eq = parse_equation("v0 | v1 | v2 | v3 | v4 | v5 = 1")
     with pytest.raises(ValueError):
-        holds(bare(G3), eq)
-    ok, _ = holds(bare(G3), eq, cap=None)
+        holds(G3, eq)
+    ok, _ = holds(G3, eq, cap=None)
     assert not ok
 
 
 def test_is_contractive_examples(G3D, G3I):
     assert is_contractive(G3D)
     assert is_contractive(G3I)
-    lifted = ModalRirig(g3(), ModalSignature(("m",)), ((2, 1, 2),))
+    lifted = g3().with_modals(ModalSignature(("m",)), ((2, 1, 2),))
     assert not is_contractive(lifted)
 
 
@@ -61,9 +62,9 @@ def test_in_chain_variety_examples(G3D, G3I, B2B2_ID):
 
 
 def test_is_chain_examples(G3, B2B2):
-    assert is_chain(bare(G3))
+    assert is_chain(G3)
     assert not is_chain(B2B2)
-    assert is_chain(bare(g3_delta().base))
+    assert is_chain(g3_delta().with_modals(EMPTY_SIGNATURE, ()))
 
 
 def test_join_splitting_block_examples():
@@ -123,7 +124,7 @@ def test_fg_intersection_examples(G3D, G3I):
 
 def test_fg_intersection_refusal(B2):
     # the constant-one modal is not contractive, so the law is refused
-    lifted = ModalRirig(B2, ModalSignature(("m",)), ((1, 1),))
+    lifted = B2.with_modals(ModalSignature(("m",)), ((1, 1),))
     assert not in_chain_variety(lifted)
     with pytest.raises(ValueError):
         fg_intersection_check(lifted)
