@@ -8,9 +8,10 @@ input error, 3 search bound exhausted / undecided.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
-import random
+import re
 import sys
 
 from . import catalog as cat
@@ -40,8 +41,7 @@ def _emit(report: dict, as_json: bool) -> None:
     def render(value, indent=0):
         pad = "  " * indent
         if isinstance(value, dict):
-            for k in value:
-                v = value[k]
+            for k, v in value.items():
                 if isinstance(v, (dict, list)) and v:
                     print(f"{pad}{k}:")
                     render(v, indent + 1)
@@ -62,9 +62,7 @@ def _emit(report: dict, as_json: bool) -> None:
 def _load(path):
     try:
         return load_algebra(path)
-    except FileFormatError as e:
-        raise CliError(str(e)) from None
-    except OSError as e:
+    except (FileFormatError, OSError) as e:
         raise CliError(str(e)) from None
 
 
@@ -77,10 +75,6 @@ def _load_modal_ririg(path):
     except ValueError as e:
         raise CliError(f"{path}: {e}") from None
     return A, labels
-
-
-def _labeler(labels):
-    return lambda i: labels[i]
 
 
 def _subset_text(S, labels):
@@ -101,20 +95,15 @@ def _parse_element(part: str, labels) -> int:
     part = part.strip()
     if part in labels:
         return labels.index(part)
-    if part.isdigit() and int(part) < len(labels):
+    if part.isdecimal() and int(part) < len(labels):
         return int(part)
     raise CliError(f"unknown element {part!r}")
 
 
-def _parse_elements(spec_text: str, labels) -> set[int]:
+def _parse_elements(spec_text: str, labels) -> list[int]:
     if not spec_text:
-        return set()
-    return {_parse_element(part, labels) for part in spec_text.split(",")}
-
-
-def _parse_tuple(spec_text: str, labels) -> tuple[int, ...]:
-    return tuple(_parse_element(part, labels)
-                 for part in spec_text.split(","))
+        return []
+    return [_parse_element(part, labels) for part in spec_text.split(",")]
 
 
 def _load_catalog(args) -> cat.Catalog:
@@ -127,17 +116,63 @@ def _load_catalog(args) -> cat.Catalog:
         raise CliError(f"cannot load catalog: {e}") from None
 
 
-def _witness_arg(args):
-    raw = getattr(args, "verify_witness", None)
-    if raw is None:
+def _read_witness(args, labels, **kinds):
+    """The --verify-witness fields named by `kinds`, each parsed by its kind,
+    or None without the option; a missing or bad field is a usage error."""
+    if args.verify_witness is None:
         return None
     try:
-        witness = json.loads(raw)
+        witness = json.loads(args.verify_witness)
     except json.JSONDecodeError as e:
         raise CliError(f"--verify-witness is not valid JSON: {e}") from None
     if not isinstance(witness, dict):
         raise CliError("--verify-witness must be a JSON object")
-    return witness
+    values = []
+    for field, kind in kinds.items():
+        if field not in witness:
+            raise CliError(f"witness field {field!r} is missing")
+        try:
+            values.append(_parse_field(kind, witness[field], labels))
+        except CliError as e:
+            raise CliError(f"witness field {field!r}: {e}") from None
+    return values
+
+
+def _parse_field(kind, value, labels):
+    """One witness value; a valuation {"v<i>": x} is returned as {i: x}."""
+    match kind:
+        case "element":
+            return _parse_element(value, labels)
+        case "elements" if isinstance(value, list):
+            return frozenset(_parse_element(x, labels) for x in value)
+        case "pair" if isinstance(value, list) and len(value) == 2:
+            return [_parse_element(x, labels) for x in value]
+        case ("pairs", count) if isinstance(value, list):
+            if len(value) != count:
+                raise CliError(f"witness has {len(value)} pairs but the "
+                               f"function has arity {count}")
+            return [_parse_field("pair", p, labels) for p in value]
+        case "partition" if isinstance(value, str):
+            return _partition_from_text(value, labels)
+        case "integers" if (isinstance(value, list)
+                            and all(type(x) is int for x in value)):
+            return value
+        case "positive integer" if type(value) is int and value > 0:
+            return value
+        case "string" if isinstance(value, str):
+            return value
+        case "valuation" if isinstance(value, dict) and all(
+                re.fullmatch(r"v(0|[1-9][0-9]*)", name) and type(x) is int
+                for name, x in value.items()):
+            return {int(name[1:]): x for name, x in value.items()}
+    raise CliError(f"expected {kind if isinstance(kind, str) else 'pairs'}, "
+                   f"got {value!r}")
+
+
+def _verdict(reproduced, **report):
+    """Exit code and report of a witness replay."""
+    report["reproduced"] = reproduced
+    return (OK if reproduced else FAIL), report
 
 
 def _load_function(path, A):
@@ -159,13 +194,10 @@ def cmd_check(args):
     modal_report = validate_modal(A)
     failures = [{"axiom": name, "witness": list(w)}
                 for name, w in base_report.failures + modal_report.failures]
-    witness = _witness_arg(args)
+    witness = _read_witness(args, labels, axiom="string", witness="integers")
     if witness is not None:
-        wanted = {"axiom": witness.get("axiom"),
-                  "witness": list(witness.get("witness", []))}
-        reproduced = wanted in failures
-        return (OK if reproduced else FAIL), {
-            "witness": wanted, "reproduced": reproduced}
+        wanted = dict(zip(("axiom", "witness"), witness))
+        return _verdict(wanted in failures, witness=wanted)
     report = {
         "ririg": {"passed": base_report.passed},
         "modal": {name: "ok" for name in A.sig.names},
@@ -204,7 +236,7 @@ def cmd_congruences(args):
 
 def cmd_gen_filter(args):
     A, labels = _load(args.algebra)
-    X = _parse_elements(args.set, labels)
+    X = set(_parse_elements(args.set, labels))
     fixpoint = fl.generate_filter(A, X)
     blocks = fl.generate_filter_blocks_stabilized(A, X)
     lam = fl.generate_filter_lambda(A, X)
@@ -222,12 +254,11 @@ def cmd_simple(args):
     A, labels = _load(args.algebra)
     if A.size < 2:
         raise CliError("the trivial algebra has no simplicity question")
-    witness = _witness_arg(args)
+    witness = _read_witness(args, labels, element="element")
     if witness is not None:
-        a = _parse_element(witness["element"], labels)
-        reproduced = (a != A.one
-                      and A.zero not in fl.generate_filter(A, {a}))
-        return (OK if reproduced else FAIL), {"reproduced": reproduced}
+        a, = witness
+        return _verdict(a != A.one
+                        and A.zero not in fl.generate_filter(A, {a}))
     decision, witnesses = fl.is_simple(A)
     if decision:
         return OK, {
@@ -254,41 +285,33 @@ def cmd_si(args):
     A, labels = _load(args.algebra)
     if A.size < 2:
         raise CliError("the trivial algebra has no irreducibility question")
-    witness = _witness_arg(args)
+    witness = _read_witness(args, labels, elements="elements")
     if witness is not None:
-        elems = [_parse_element(e, labels) for e in witness["elements"]]
-        common = frozenset(range(A.size))
-        for a in elems:
-            common &= fl.generate_filter(A, {a})
-        reproduced = common == frozenset({A.one})
-        return (OK if reproduced else FAIL), {"reproduced": reproduced}
+        elems, = witness
+        meet = frozenset(range(A.size)).intersection(
+            *(fl.generate_filter(A, {a}) for a in elems))
+        return _verdict(A.one not in elems and meet == {A.one})
     decision, b = fl.is_subdirectly_irreducible(A)
     if decision:
         return OK, {"subdirectly-irreducible": True, "witness": labels[b]}
+    nontrivial = [F for F in fl.all_ifilters(A) if len(F) > 1]
     return FAIL, {
         "subdirectly-irreducible": False,
         "witness": {
             "elements": [labels[a] for a in range(A.size) if a != A.one],
-            "minimal-filters": [_subset_text(F, labels)
-                                for F in _minimal_nontrivial_filters(A)]},
+            "minimal-filters": [_subset_text(F, labels) for F in nontrivial
+                                if not any(G < F for G in nontrivial)]},
     }
-
-
-def _minimal_nontrivial_filters(A):
-    nontrivial = [F for F in fl.all_ifilters(A) if len(F) > 1]
-    return [F for F in nontrivial
-            if not any(G < F for G in nontrivial)]
 
 
 def cmd_classify(args):
     A, labels = _load(args.algebra)
-    witness = _witness_arg(args)
+    witness = _read_witness(args, labels, pair="pair")
     if witness is not None:
-        a, b = (_parse_element(x, labels) for x in witness["pair"])
+        (a, b), = witness
         joined = fl.generate_filter(A, {A.join[a][b]})
         split = fl.generate_filter(A, {a}) & fl.generate_filter(A, {b})
-        reproduced = joined != split
-        return (OK if reproduced else FAIL), {"reproduced": reproduced}
+        return _verdict(tm.in_chain_variety(A) and joined != split)
     report = {
         "chain": tm.is_chain(A),
         "contractive": tm.is_contractive(A),
@@ -363,9 +386,15 @@ def cmd_compatible(args):
         raise CliError("pass --fn FILE or --random N")
     if args.fn is not None:
         f = _load_function(args.fn, A)
-        witness = _witness_arg(args)
+        witness = _read_witness(args, labels, pairs=("pairs", f.arity),
+                                congruence="partition")
         if witness is not None:
-            return _verify_compat_witness(A, labels, f, witness, args)
+            pairs, theta = witness
+            if not fl.is_congruence(A, theta):
+                return _verdict(False, reason="not a congruence")
+            left, right = (f(*side) for side in zip(*pairs))
+            related = all(theta[a] == theta[b] for a, b in pairs)
+            return _verdict(related and theta[left] != theta[right])
         routes = _compat_routes(A, f, args)
         report, verdicts = _compat_report(A, labels, routes, args)
         if "undecided" in verdicts:
@@ -376,7 +405,8 @@ def cmd_compatible(args):
         if getattr(args, option) < 1:
             raise CliError(f"--{option} must be at least 1")
     disagreements = cp.agreement_sweep(A, args.arity, args.random,
-                                       args.seed, jobs=args.jobs)
+                                       args.seed, jobs=args.jobs,
+                                       cap=args.congruence_cap)
     report = {"seed": args.seed, "sampled": args.random,
               "arity": args.arity,
               "disagreements": [
@@ -385,44 +415,19 @@ def cmd_compatible(args):
     return (OK if not disagreements else FAIL), report
 
 
-def _verify_compat_witness(A, labels, f, witness, args):
-    pairs = witness.get("pairs")
-    part_text = witness.get("congruence")
-    if not isinstance(pairs, list) or not isinstance(part_text, str):
-        raise CliError("witness must carry 'congruence' and 'pairs'")
-    if len(pairs) != f.arity:
-        raise CliError(f"witness has {len(pairs)} pairs but the function "
-                       f"has arity {f.arity}")
-    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-        raise CliError("each witness pair must hold two elements")
-    arg_pairs = [(_parse_element(a, labels), _parse_element(b, labels))
-                 for a, b in pairs]
-    theta = _partition_from_text(part_text, labels)
-    if not fl.is_congruence(A, theta):
-        return FAIL, {"reproduced": False, "reason": "not a congruence"}
-    left = f(*(p[0] for p in arg_pairs))
-    right = f(*(p[1] for p in arg_pairs))
-    related = all(theta[a] == theta[b] for a, b in arg_pairs)
-    reproduced = related and theta[left] != theta[right]
-    return (OK if reproduced else FAIL), {"reproduced": reproduced}
-
-
 def _partition_from_text(text, labels):
     """The partition written as reports print it, ``{x,y} | {z}``; every
     element must appear exactly once."""
     class_of = [None] * len(labels)
     for block in text.split("|"):
-        members = [_parse_element(x, labels) for x in
-                   block.strip().strip("{}").split(",") if x.strip()]
+        members = _parse_elements(block.strip().strip("{}"), labels)
         for m in members:
             if class_of[m] is not None:
-                raise CliError(f"congruence {text!r}: element "
-                               f"{labels[m]!r} appears twice")
+                raise CliError(f"element {labels[m]!r} appears twice")
             class_of[m] = min(members)
     missing = [labels[i] for i, c in enumerate(class_of) if c is None]
     if missing:
-        raise CliError(f"congruence {text!r}: no class holds "
-                       f"{', '.join(missing)}")
+        raise CliError(f"no class holds {', '.join(missing)}")
     return fl.normalize_partition(tuple(class_of))
 
 
@@ -430,10 +435,9 @@ def cmd_laf(args):
     A, labels = _load_modal_ririg(args.algebra)
     f = _load_function(args.fn, A)
     if args.points:
-        B = [_parse_tuple(p, labels) for p in args.points]
+        B = [tuple(_parse_elements(p, labels)) for p in args.points]
     else:
-        import itertools as it
-        B = list(it.product(range(A.size), repeat=f.arity))
+        B = list(itertools.product(range(A.size), repeat=f.arity))
     try:
         rep = cp.laf_representation(A, f, B)
     except ValueError as e:
@@ -489,11 +493,9 @@ def cmd_prove(args):
     except (OSError, ValueError) as e:
         raise CliError(f"cannot read proof: {e}") from None
     result = check_proof(proof)
-    witness = _witness_arg(args)
+    witness = _read_witness(args, None, line="positive integer")
     if witness is not None:
-        reproduced = (not result.ok
-                      and result.bad_line == witness.get("line"))
-        return (OK if reproduced else FAIL), {"reproduced": reproduced}
+        return _verdict(not result.ok and witness == [result.bad_line])
     report = {
         "hypotheses": [format_term(h) for h in proof.hypotheses],
         "lines": len(proof.lines),
@@ -523,9 +525,25 @@ def cmd_entails(args):
         goal = parse_equation(args.goal)
     except ParseError as e:
         raise CliError(str(e)) from None
-    witness = _witness_arg(args)
+    witness = _read_witness(args, None, algebra="string",
+                            valuation="valuation")
     if witness is not None:
-        return _verify_entails_witness(algebras, premises, goal, witness)
+        form, valuation = witness
+        A = next((B for B in algebras
+                  if cat.canonical_form(B).hex() == form), None)
+        if A is None:
+            return _verdict(False, reason="algebra not in catalog")
+        equations = premises + [goal]
+        terms = [t for e in equations for t in (e.lhs, e.rhs)]
+        bad = set().union(*map(tm.modal_names_of, terms)) - set(A.sig.names)
+        if bad:
+            raise CliError(f"modal names {sorted(bad)} outside the signature")
+        if (valuation.keys() != set().union(*map(tm.variables_of, terms))
+                or not all(0 <= x < A.size for x in valuation.values())):
+            return _verdict(False)
+        sat = [tm.eval_term(A, valuation, e.lhs)
+               == tm.eval_term(A, valuation, e.rhs) for e in equations]
+        return _verdict(all(sat[:-1]) and not sat[-1])
     try:
         holds_, cm = semantic_entails(algebras, premises, goal,
                                       cap=args.valuation_cap)
@@ -541,21 +559,6 @@ def cmd_entails(args):
         }
         return FAIL, report
     return OK, report
-
-
-def _verify_entails_witness(algebras, premises, goal, witness):
-    form = witness.get("algebra")
-    valuation = {int(k[1:]): v for k, v in witness.get("valuation", {}).items()}
-    A = next((B for B in algebras
-              if cat.canonical_form(B).hex() == form), None)
-    if A is None:
-        return FAIL, {"reproduced": False, "reason": "algebra not in catalog"}
-    from .terms import eval_term
-    sat = all(eval_term(A, valuation, e.lhs) == eval_term(A, valuation, e.rhs)
-              for e in premises)
-    fails = eval_term(A, valuation, goal.lhs) != eval_term(A, valuation,
-                                                           goal.rhs)
-    return (OK if sat and fails else FAIL), {"reproduced": sat and fails}
 
 
 def cmd_lddt(args):
@@ -590,16 +593,19 @@ def cmd_lddt(args):
 
 def cmd_cep(args):
     A, labels = _load(args.algebra)
-    witness = _witness_arg(args)
+    witness = _read_witness(args, labels, subuniverse="elements",
+                            congruence="integers")
     if witness is not None:
-        S = frozenset(_parse_elements(",".join(witness["subuniverse"]),
-                                      labels))
+        S, theta = witness
+        if (S not in fl.subuniverses(A, cap=args.subuniverse_cap)
+                or len(theta) != len(S)):
+            return _verdict(False)
         sub, elems = fl.induced_subalgebra(A, S)
-        theta = tuple(witness["congruence"])
-        extendable = any(
-            fl.restrict_congruence(xi, elems) == fl.normalize_partition(theta)
-            for xi in fl.all_congruences_direct(A))
-        return (OK if not extendable else FAIL), {"reproduced": not extendable}
+        theta = fl.normalize_partition(theta)
+        restrictions = {fl.restrict_congruence(xi, elems) for xi in
+                        fl.all_congruences_direct(A, cap=args.congruence_cap)}
+        return _verdict(fl.is_congruence(sub, theta)
+                        and theta not in restrictions)
     ok, cex = fl.cep_check(A, cap=args.subuniverse_cap,
                            congruence_cap=args.congruence_cap)
     if ok:
@@ -624,17 +630,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="workbench for finite modal residuated integral rigs")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, handler, help):
+        p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true",
                        help="machine-readable report")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker count for scans (accepted everywhere, "
-                            "used by heavy commands)")
         return p
 
-    def alg(p):
+    def alg(name, handler, help):
+        p = add(name, handler, help)
         p.add_argument("algebra", help="algebra file (JSON)")
         p.add_argument("--congruence-cap", type=int,
                        default=fl.DEFAULT_CONGRUENCE_CAP)
@@ -642,29 +646,22 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=fl.DEFAULT_SUBUNIVERSE_CAP)
         p.add_argument("--verify-witness", metavar="JSON",
                        help="re-check a previously reported witness")
+        return p
 
-    p = add("check", cmd_check, help="validate the algebra axioms")
-    alg(p)
-    p = add("filters", cmd_filters, help="list all filters")
-    alg(p)
-    p = add("congruences", cmd_congruences, help="list all congruences")
-    alg(p)
+    p = alg("check", cmd_check, help="validate the algebra axioms")
+    p = alg("filters", cmd_filters, help="list all filters")
+    p = alg("congruences", cmd_congruences, help="list all congruences")
     p.add_argument("--direct", action="store_true",
                    help="cross-check with the partition oracle")
-    p = add("gen-filter", cmd_gen_filter,
+    p = alg("gen-filter", cmd_gen_filter,
             help="generated filter by all three routes")
-    alg(p)
     p.add_argument("--set", default="", help="comma-separated elements")
-    p = add("simple", cmd_simple, help="decide simplicity with witnesses")
-    alg(p)
-    p = add("si", cmd_si, help="decide subdirect irreducibility")
-    alg(p)
-    p = add("classify", cmd_classify,
+    p = alg("simple", cmd_simple, help="decide simplicity with witnesses")
+    p = alg("si", cmd_si, help="decide subdirect irreducibility")
+    p = alg("classify", cmd_classify,
             help="chain/contractive/prelinearity classification")
-    alg(p)
-    p = add("compatible", cmd_compatible,
+    p = alg("compatible", cmd_compatible,
             help="check a function for congruence compatibility")
-    alg(p)
     p.add_argument("--fn", help="function file (JSON)")
     p.add_argument("--route", choices=("all", "direct", "blocks", "lambda"),
                    default="all")
@@ -675,30 +672,30 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="agreement sweep over N random functions")
     p.add_argument("--arity", type=int, default=2)
     p.add_argument("--seed", type=int, default=cp.DEFAULT_SEED)
-    p = add("laf", cmd_laf, help="local polynomial join representation")
-    alg(p)
+    p.add_argument("--jobs", type=int, default=1)
+    p = alg("laf", cmd_laf, help="local polynomial join representation")
     p.add_argument("--fn", required=True)
     p.add_argument("--points", nargs="*",
                    help="tuples as comma-separated elements")
-    p = add("enumerate", cmd_enumerate, help="build and save a catalog")
+    p = add("enumerate", cmd_enumerate, "build and save a catalog")
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--modals", type=int, default=0)
     p.add_argument("--require", action="append",
                    choices=cat.KNOWN_CONSTRAINTS)
     p.add_argument("--size-cap", type=int, default=cat.DEFAULT_SIZE_CAP)
     p.add_argument("--out", help="write the catalog here")
-    p = add("prove", cmd_prove, help="check a proof file, then its "
-                                     "soundness over a catalog")
+    p = add("prove", cmd_prove, "check a proof file, then its soundness "
+                                "over a catalog")
     p.add_argument("proof")
     p.add_argument("--catalog")
     p.add_argument("--verify-witness", metavar="JSON")
-    p = add("entails", cmd_entails, help="semantic entailment over a catalog")
+    p = add("entails", cmd_entails, "semantic entailment over a catalog")
     p.add_argument("--catalog")
     p.add_argument("--assume", action="append", metavar="EQUATION")
     p.add_argument("--valuation-cap", type=int, default=4096)
     p.add_argument("--verify-witness", metavar="JSON")
     p.add_argument("goal", metavar="EQUATION")
-    p = add("lddt", cmd_lddt, help="local deduction witness search")
+    p = add("lddt", cmd_lddt, "local deduction witness search")
     p.add_argument("--catalog")
     p.add_argument("--gamma", action="append", metavar="FORMULA")
     p.add_argument("--delta", nargs="+", required=True, metavar="FORMULA")
@@ -707,8 +704,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--product-bound", type=int, default=2)
     p.add_argument("--lambda-mode", action="store_true")
     p.add_argument("--max-exponent", type=int, default=4)
-    p = add("cep", cmd_cep, help="congruence extension check")
-    alg(p)
+    p = alg("cep", cmd_cep, help="congruence extension check")
     return top
 
 
@@ -719,6 +715,10 @@ def main(argv=None) -> int:
         code, report = args.handler(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
+        return USAGE
+    except fl.CapError as e:
+        print(f"error: {e}; raise it with --congruence-cap or "
+              "--subuniverse-cap", file=sys.stderr)
         return USAGE
     _emit(report, args.json)
     return code

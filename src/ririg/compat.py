@@ -178,14 +178,10 @@ def _star_pairs(A: Algebra, star, f: FiniteFunction):
             yield a, b, cs, p, star[fa][fb]
 
 
-def _blocks_witness(A: Algebra, cs, target, bound=None):
-    """Shortest factor list ((block, slot), ...) whose product of block
-    values lands below the target, or None."""
-    items = []
-    for slot, c in enumerate(cs):
-        for v, blk in sorted(reachable_values(A, c, bound).items(),
-                             key=lambda kv: (len(kv[1]), kv[1])):
-            items.append((v, blk, slot))
+def _shortest_product_below(A: Algebra, items, target):
+    """Labels of a shortest product of item values that lands below the
+    target, or None.  `items` are (value, label) pairs; breadth-first, with
+    the items tried in order, so the first minimal-length list is found."""
     best = {A.one: ()}
     frontier = dict(best)
     while True:
@@ -193,15 +189,24 @@ def _blocks_witness(A: Algebra, cs, target, bound=None):
             if A.leq(p, target):
                 return best[p]
         nxt = {}
-        for p, factors in frontier.items():
-            for v, blk, slot in items:
+        for p, labels in frontier.items():
+            for v, label in items:
                 q = A.prod[p][v]
                 if q not in best and q not in nxt:
-                    nxt[q] = factors + ((blk, slot),)
+                    nxt[q] = labels + (label,)
         if not nxt:
             return None
         best.update(nxt)
         frontier = nxt
+
+
+def _blocks_witness(A: Algebra, cs, target, bound=None):
+    """Shortest factor list ((block, slot), ...) whose product of block
+    values lands below the target, or None."""
+    items = [(v, (blk, slot)) for slot, c in enumerate(cs)
+             for v, blk in sorted(reachable_values(A, c, bound).items(),
+                                  key=lambda kv: (len(kv[1]), kv[1]))]
+    return _shortest_product_below(A, items, target)
 
 
 def compat_witness_kary(A: Algebra, f: FiniteFunction,
@@ -257,7 +262,8 @@ def _lambda_witness(A: Algebra, cs, target):
     l = 0
     level = list(cs)
     while True:
-        factors = _power_product_below(A, level, target)
+        factors = _shortest_product_below(
+            A, [(v, slot) for slot, v in enumerate(level)], target)
         if factors is not None:
             return l, factors
         nxt = [lambda_op(A, v) for v in level]
@@ -267,36 +273,15 @@ def _lambda_witness(A: Algebra, cs, target):
         l += 1
 
 
-def _power_product_below(A: Algebra, values, target):
-    """Slot-index sequence whose value product drops below target, or
-    None; breadth-first, so of minimal length."""
-    best = {A.one: ()}
-    frontier = dict(best)
-    while True:
-        for p in sorted(best):
-            if A.leq(p, target):
-                return best[p]
-        nxt = {}
-        for p, factors in frontier.items():
-            for slot, v in enumerate(values):
-                q = A.prod[p][v]
-                if q not in best and q not in nxt:
-                    nxt[q] = factors + (slot,)
-        if not nxt:
-            return None
-        best.update(nxt)
-        frontier = nxt
-
-
 def _sweep_chunk(job):
     """Worker for agreement_sweep; functions are seeded per index so the
     outcome is independent of how the range is chunked."""
-    A, arity, seed, lo, hi = job
+    A, arity, seed, cap, lo, hi = job
     out = []
     for i in range(lo, hi):
         rng = random.Random((seed << 20) ^ i)
         f = random_function(A.size, arity, rng)
-        d = is_compatible_direct(A, f).compatible
+        d = is_compatible_direct(A, f, cap=cap).compatible
         b = compat_witness_kary(A, f, with_witnesses=False).compatible
         l = compat_witness_lambda(A, f, with_witnesses=False).compatible
         if not d == b == l:
@@ -305,17 +290,18 @@ def _sweep_chunk(job):
 
 
 def agreement_sweep(A: Algebra, arity: int, count: int, seed: int,
-                    jobs: int = 1):
+                    jobs: int = 1, cap: int = DEFAULT_CONGRUENCE_CAP):
     """Run the three compatibility routes over seeded random functions,
-    returning the disagreeing ones (expected: none)."""
+    returning the disagreeing ones (expected: none); `cap` bounds the
+    direct route's congruence oracle."""
     if jobs <= 1 or count < 1:
-        return _sweep_chunk((A, arity, seed, 0, count))
+        return _sweep_chunk((A, arity, seed, cap, 0, count))
     from concurrent.futures import ProcessPoolExecutor
     chunk = (count + jobs - 1) // jobs
     spans = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
     with ProcessPoolExecutor(max_workers=jobs) as ex:
         results = ex.map(_sweep_chunk,
-                         [(A, arity, seed, lo, hi) for lo, hi in spans])
+                         [(A, arity, seed, cap, lo, hi) for lo, hi in spans])
     out = []
     for r in results:
         out.extend(r)
@@ -370,7 +356,8 @@ def laf_representation(A: Algebra, f: FiniteFunction, B) -> LafRepresentation:
             l = anchor_exponents[a]
             cs = [lambda_iter(A, l, star[ai][xi]) for ai, xi in zip(a, x)]
             target = star[f(*a)][f(*x)]
-            factors = _power_product_below(A, cs, target)
+            factors = _shortest_product_below(
+                A, [(v, slot) for slot, v in enumerate(cs)], target)
             assert factors is not None
             val = f(*a)
             for slot in factors:

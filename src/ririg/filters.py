@@ -24,6 +24,10 @@ DEFAULT_SUBUNIVERSE_CAP = 6
 ALGEBRA_CACHE_SIZE = 64
 
 
+class CapError(ValueError):
+    """An exhaustive scan refused an algebra larger than its size cap."""
+
+
 def up_set(A: Algebra, xs) -> Subset:
     return frozenset(y for y in range(A.size)
                      if any(A.leq(x, y) for x in xs))
@@ -192,7 +196,7 @@ def all_congruences_direct(A: Algebra, cap: int = DEFAULT_CONGRUENCE_CAP
                            ) -> list[Partition]:
     """Brute-force enumeration over all partitions of the universe."""
     if A.size > cap:
-        raise ValueError(f"size {A.size} exceeds congruence oracle cap {cap}")
+        raise CapError(f"size {A.size} exceeds congruence oracle cap {cap}")
     return list(_congruences_cached(A))
 
 
@@ -380,7 +384,7 @@ def subuniverses(A: Algebra, cap: int = DEFAULT_SUBUNIVERSE_CAP
     """All subsets containing 0 and 1 closed under every operation."""
     n = A.size
     if n > cap:
-        raise ValueError(f"size {n} exceeds subuniverse scan cap {cap}")
+        raise CapError(f"size {n} exceeds subuniverse scan cap {cap}")
     out = []
     for mask in range(1 << n):
         if not (mask >> A.zero & 1 and mask >> A.one & 1):

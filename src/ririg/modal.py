@@ -79,18 +79,6 @@ def lambda_iter(A: Algebra, l: int, a: int) -> int:
     return a
 
 
-def lambda_stabilization(A: Algebra, a: int) -> tuple[int, int]:
-    """(stable value, least l reaching it); the iteration sequence is
-    weakly decreasing, so two equal consecutive values end it."""
-    l = 0
-    while True:
-        nxt = lambda_op(A, a)
-        if nxt == a:
-            return a, l
-        a = nxt
-        l += 1
-
-
 def reachable_values(A: Algebra, a: int, max_len: int | None = None
                      ) -> dict[int, Block]:
     """Map each value M(a) attainable by some block M to a shortest such M.

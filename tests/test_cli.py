@@ -1,7 +1,12 @@
 import json
 import pathlib
 
+import pytest
+
+from ririg.catalog import catalog_load
 from ririg.cli import main
+from ririg.files import load_algebra, save_algebra
+from ririg.fixtures import direct_product
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 PROOFS = pathlib.Path(__file__).resolve().parents[1] / "proofs"
@@ -304,3 +309,121 @@ def test_witness_must_be_a_json_object(capsys):
                     + ["--verify-witness", "[1]"]) == 2
         assert "--verify-witness must be a JSON object" \
             in capsys.readouterr().err
+
+
+@pytest.fixture
+def built(tmp_path):
+    """Entry 13 of data/cat4_m.cat (contractive and prelinear, not
+    join-subdistributive), the 6-element product of data/b2.alg and
+    data/g3.alg, and the identity function on that product, as files."""
+    x13, product, identity = (tmp_path / name for name in
+                              ("x13.alg", "b2xg3.alg", "id6.fn"))
+    save_algebra(catalog_load(DATA / "cat4_m.cat").algebras()[13], x13)
+    b2, _ = load_algebra(DATA / "b2.alg")
+    g3, _ = load_algebra(DATA / "g3.alg")
+    save_algebra(direct_product(b2, g3), product)
+    identity.write_text(json.dumps({"arity": 1, "table": list(range(6))}))
+    return x13, product, identity
+
+
+def test_replays_refuse_false_and_malformed_witnesses(capsys, built):
+    """A false certificate exits 1 with reproduced false; a malformed one,
+    or an algebra above an oracle cap, exits 2 naming the field or cap."""
+    x13, product, identity = built
+    _, report = run_json(capsys, "classify", x13)
+    assert report["in-chain-variety"] is False
+    g3d = DATA / "g3delta.alg"
+    b2_form = "020001010001010100000001010100010001"  # b2 with m1 = id
+    entails = ["entails", "--catalog", DATA / "cat3_m.cat", "v0 = 1"]
+    cases = [
+        (["cep", g3d], {"subuniverse": ["0", "1"], "congruence": [0]}, 1),
+        (["si", DATA / "b2.alg"], {"elements": ["1"]}, 1),
+        (["classify", x13], {"pair": ["1", "2"]}, 1),
+        (entails, {"algebra": b2_form, "valuation": {"v0": 7}}, 1),
+        (entails, {"algebra": b2_form, "valuation": {}}, 1),
+        (["cep", g3d], {"subuniverse": ["0", "a"], "congruence": [0, 0]}, 1),
+        (["simple", g3d], {}, "witness field 'element' is missing"),
+        (["classify", g3d], {"pair": ["0"]}, "witness field 'pair'"),
+        (entails, {"algebra": "00", "valuation": {"x": 1}},
+         "witness field 'valuation'"),
+        (["si", g3d], {"elements": 5}, "witness field 'elements'"),
+        (["check", g3d], {"axiom": 1, "witness": 5}, "witness field 'axiom'"),
+        (["prove", PROOFS / "top.prf"], {"line": 0}, "witness field 'line'"),
+        (["congruences", product, "--direct"], None, "cap"),
+        (["cep", product], None, "cap"),
+        (["compatible", product, "--fn", identity], None, "cap"),
+        (["compatible", product, "--fn", identity, "--route", "direct"],
+         None, "cap"),
+        (["compatible", product, "--random", "3", "--arity", "1"], None,
+         "cap"),
+    ]
+    for argv, witness, expected in cases:
+        if witness is not None:
+            argv = argv + ["--verify-witness", json.dumps(witness)]
+        code = main([str(a) for a in argv] + ["--json"])
+        out, err = capsys.readouterr()
+        if expected == 1:
+            assert (code, json.loads(out)) == (1, {"reproduced": False}), argv
+        elif expected == "cap":
+            assert code == 2, argv
+            assert "exceeds congruence oracle cap 5" in err, argv
+            assert "--congruence-cap" in err, argv
+        else:
+            assert code == 2 and expected in err, argv
+    code, report = run_json(capsys, "compatible", product, "--random", "3",
+                            "--arity", "1", "--congruence-cap", "6")
+    assert code == 0 and report["disagreements"] == []
+
+
+def test_every_reported_witness_replays(capsys, tmp_path, built):
+    """Each exit-1 witness that check, simple, si, compatible, prove and
+    entails report on the shipped files and the b2 x g3 product replays."""
+    _, product, _ = built
+    replays = []
+    for alg in sorted(DATA.glob("*.alg")) + [product]:
+        for command in ("check", "simple", "si"):
+            code, report = run_json(capsys, command, alg)
+            if code == 1:
+                found = (report["failures"] if command == "check"
+                         else [report["witness"]])
+                replays += [([command, alg], w) for w in found]
+        for fn in sorted(DATA.glob("*.fn")):
+            code = main(["compatible", str(alg), "--fn", str(fn), "--json"])
+            out = capsys.readouterr().out
+            if code == 1:
+                replays.append((["compatible", alg, "--fn", fn],
+                                json.loads(out)["routes"]["direct"]["witness"]))
+    for proof in sorted(PROOFS.glob("*.prf")):
+        _, report = run_json(capsys, "prove", proof)
+        broken = tmp_path / proof.name
+        broken.write_text(proof.read_text()
+                          + f"{report['lines'] + 1}. v0 ; ax1\n")
+        code, report = run_json(capsys, "prove", broken)
+        assert code == 1
+        replays.append((["prove", broken], report["witness"]))
+    for premises, goal in (([], "v0 = 1"), ([], "(v0 | (v0 -> 0)) = 1"),
+                           ([], "m1(v0) = v0"),
+                           (["m1(v0) = 1"], "(v0 * v1) = v1"),
+                           (["v0 = 1", "(v0 -> v1) = 1"], "v1 = 1")):
+        argv = ["entails", "--catalog", DATA / "cat3_m.cat", goal]
+        for premise in premises:
+            argv += ["--assume", premise]
+        code, report = run_json(capsys, *argv)
+        if code == 1:
+            replays.append((argv, report["witness"]))
+    assert {argv[0] for argv, _ in replays} == {
+        "simple", "si", "compatible", "prove", "entails"}
+    assert ["si", product] in [argv for argv, _ in replays]
+    assert ["simple", product] in [argv for argv, _ in replays]
+    for argv, witness in replays:
+        code, report = run_json(capsys, *argv, "--verify-witness",
+                                json.dumps(witness))
+        assert (code, report["reproduced"]) == (0, True), (argv, witness)
+
+
+def test_jobs_only_on_compatible(capsys):
+    for command in ("check", "filters", "si"):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, str(DATA / "g3.alg"), "--jobs", "2"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
