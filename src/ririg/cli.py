@@ -119,14 +119,9 @@ def _load_catalog(args) -> cat.Catalog:
 def _read_witness(args, labels, **kinds):
     """The --verify-witness fields named by `kinds`, each parsed by its kind,
     or None without the option; a missing or bad field is a usage error."""
-    if args.verify_witness is None:
+    witness = _witness_object(args)
+    if witness is None:
         return None
-    try:
-        witness = json.loads(args.verify_witness)
-    except json.JSONDecodeError as e:
-        raise CliError(f"--verify-witness is not valid JSON: {e}") from None
-    if not isinstance(witness, dict):
-        raise CliError("--verify-witness must be a JSON object")
     values = []
     for field, kind in kinds.items():
         if field not in witness:
@@ -136,6 +131,19 @@ def _read_witness(args, labels, **kinds):
         except CliError as e:
             raise CliError(f"witness field {field!r}: {e}") from None
     return values
+
+
+def _witness_object(args):
+    """The --verify-witness JSON object, or None without the option."""
+    if args.verify_witness is None:
+        return None
+    try:
+        witness = json.loads(args.verify_witness)
+    except json.JSONDecodeError as e:
+        raise CliError(f"--verify-witness is not valid JSON: {e}") from None
+    if not isinstance(witness, dict):
+        raise CliError("--verify-witness must be a JSON object")
+    return witness
 
 
 def _parse_field(kind, value, labels):
@@ -152,6 +160,10 @@ def _parse_field(kind, value, labels):
                 raise CliError(f"witness has {len(value)} pairs but the "
                                f"function has arity {count}")
             return [_parse_field("pair", p, labels) for p in value]
+        case ("tuples", k) if (
+                isinstance(value, list) and len(value) == 2
+                and all(isinstance(t, list) and len(t) == k for t in value)):
+            return [[_parse_element(x, labels) for x in t] for t in value]
         case "partition" if isinstance(value, str):
             return _partition_from_text(value, labels)
         case "integers" if (isinstance(value, list)
@@ -165,8 +177,16 @@ def _parse_field(kind, value, labels):
                 re.fullmatch(r"v(0|[1-9][0-9]*)", name) and type(x) is int
                 for name, x in value.items()):
             return {int(name[1:]): x for name, x in value.items()}
-    raise CliError(f"expected {kind if isinstance(kind, str) else 'pairs'}, "
+    raise CliError(f"expected {kind if isinstance(kind, str) else kind[0]}, "
                    f"got {value!r}")
+
+
+def _require_at_least(args, least, *options):
+    """Refuse a numeric option set below `least`; an unset one passes."""
+    for option in options:
+        value = getattr(args, option.replace("-", "_"))
+        if value is not None and value < least:
+            raise CliError(f"--{option} must be at least {least}")
 
 
 def _verdict(reproduced, **report):
@@ -381,11 +401,17 @@ def _format_pair_witness(A, route, w):
 
 
 def cmd_compatible(args):
+    _require_at_least(args, 0, "block-bound")
     A, labels = _load_modal_ririg(args.algebra)
     if args.fn is None and args.random is None:
         raise CliError("pass --fn FILE or --random N")
     if args.fn is not None:
         f = _load_function(args.fn, A)
+        if "tuples" in (_witness_object(args) or {}):
+            (a, b), = _read_witness(args, labels, tuples=("tuples", f.arity))
+            stars = {A.star(x, y) for x, y in zip(a, b)}
+            return _verdict(A.star(f(*a), f(*b))
+                            not in fl.generate_filter(A, stars))
         witness = _read_witness(args, labels, pairs=("pairs", f.arity),
                                 congruence="partition")
         if witness is not None:
@@ -401,9 +427,7 @@ def cmd_compatible(args):
             return UNDECIDED, report
         return (OK if verdicts == {"compatible"} else FAIL), report
     # seeded random agreement sweep
-    for option in ("random", "arity", "jobs"):
-        if getattr(args, option) < 1:
-            raise CliError(f"--{option} must be at least 1")
+    _require_at_least(args, 1, "random", "arity", "jobs")
     disagreements = cp.agreement_sweep(A, args.arity, args.random,
                                        args.seed, jobs=args.jobs,
                                        cap=args.congruence_cap)
@@ -562,6 +586,7 @@ def cmd_entails(args):
 
 
 def cmd_lddt(args):
+    _require_at_least(args, 0, "block-bound", "product-bound", "max-exponent")
     algebras = _load_catalog(args).algebras()
     try:
         gamma = [parse_formula(t) for t in (args.gamma or [])]
@@ -630,38 +655,41 @@ def _build_parser() -> argparse.ArgumentParser:
         description="workbench for finite modal residuated integral rigs")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help):
+    witness, ccap, scap = ("--verify-witness", "--congruence-cap",
+                           "--subuniverse-cap")
+    shared = {witness: dict(metavar="JSON",
+                            help="re-check a previously reported witness"),
+              ccap: dict(type=int, default=fl.DEFAULT_CONGRUENCE_CAP),
+              scap: dict(type=int, default=fl.DEFAULT_SUBUNIVERSE_CAP)}
+
+    def add(name, handler, help, *options):
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true",
                        help="machine-readable report")
+        for option in options:
+            p.add_argument(option, **shared[option])
         return p
 
-    def alg(name, handler, help):
-        p = add(name, handler, help)
+    def alg(name, handler, help, *options):
+        p = add(name, handler, help, *options)
         p.add_argument("algebra", help="algebra file (JSON)")
-        p.add_argument("--congruence-cap", type=int,
-                       default=fl.DEFAULT_CONGRUENCE_CAP)
-        p.add_argument("--subuniverse-cap", type=int,
-                       default=fl.DEFAULT_SUBUNIVERSE_CAP)
-        p.add_argument("--verify-witness", metavar="JSON",
-                       help="re-check a previously reported witness")
         return p
 
-    p = alg("check", cmd_check, help="validate the algebra axioms")
+    p = alg("check", cmd_check, "validate the algebra axioms", witness)
     p = alg("filters", cmd_filters, help="list all filters")
-    p = alg("congruences", cmd_congruences, help="list all congruences")
+    p = alg("congruences", cmd_congruences, "list all congruences", ccap)
     p.add_argument("--direct", action="store_true",
                    help="cross-check with the partition oracle")
     p = alg("gen-filter", cmd_gen_filter,
             help="generated filter by all three routes")
     p.add_argument("--set", default="", help="comma-separated elements")
-    p = alg("simple", cmd_simple, help="decide simplicity with witnesses")
-    p = alg("si", cmd_si, help="decide subdirect irreducibility")
+    p = alg("simple", cmd_simple, "decide simplicity with witnesses", witness)
+    p = alg("si", cmd_si, "decide subdirect irreducibility", witness)
     p = alg("classify", cmd_classify,
-            help="chain/contractive/prelinearity classification")
+            "chain/contractive/prelinearity classification", witness)
     p = alg("compatible", cmd_compatible,
-            help="check a function for congruence compatibility")
+            "check a function for congruence compatibility", witness, ccap)
     p.add_argument("--fn", help="function file (JSON)")
     p.add_argument("--route", choices=("all", "direct", "blocks", "lambda"),
                    default="all")
@@ -685,15 +713,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size-cap", type=int, default=cat.DEFAULT_SIZE_CAP)
     p.add_argument("--out", help="write the catalog here")
     p = add("prove", cmd_prove, "check a proof file, then its soundness "
-                                "over a catalog")
+                                "over a catalog", witness)
     p.add_argument("proof")
     p.add_argument("--catalog")
-    p.add_argument("--verify-witness", metavar="JSON")
-    p = add("entails", cmd_entails, "semantic entailment over a catalog")
+    p = add("entails", cmd_entails, "semantic entailment over a catalog",
+            witness)
     p.add_argument("--catalog")
     p.add_argument("--assume", action="append", metavar="EQUATION")
     p.add_argument("--valuation-cap", type=int, default=4096)
-    p.add_argument("--verify-witness", metavar="JSON")
     p.add_argument("goal", metavar="EQUATION")
     p = add("lddt", cmd_lddt, "local deduction witness search")
     p.add_argument("--catalog")
@@ -704,7 +731,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--product-bound", type=int, default=2)
     p.add_argument("--lambda-mode", action="store_true")
     p.add_argument("--max-exponent", type=int, default=4)
-    p = alg("cep", cmd_cep, help="congruence extension check")
+    p = alg("cep", cmd_cep, "congruence extension check", witness, ccap, scap)
     return top
 
 
@@ -717,8 +744,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
     except fl.CapError as e:
-        print(f"error: {e}; raise it with --congruence-cap or "
-              "--subuniverse-cap", file=sys.stderr)
+        print(f"error: {e}; raise it with --{e.args[1]}-cap",
+              file=sys.stderr)
         return USAGE
     _emit(report, args.json)
     return code

@@ -9,7 +9,8 @@ up-closed and product-closed and x*y <= x, y, so Fg(X) = Fg(prod X): each
 pair is decided by one lookup in a per-algebra table of the filters
 generated by single elements, for every arity.  That rule, and the
 routes themselves, hold only in an I-modal ririg, so both witness routes
-refuse an algebra that fails validate_ririg or validate_modal.
+refuse an algebra that fails validate_ririg or validate_modal.  Both
+routes' filters and their shortest-product witness search live in filters.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from typing import Optional
 
 from .core import Algebra, validate_ririg
 from .filters import ALGEBRA_CACHE_SIZE, DEFAULT_CONGRUENCE_CAP, \
-    _products_up_to, all_congruences_direct, generate_filter_lambda, up_set
-from .modal import lambda_iter, lambda_op, reachable_values, \
-    validate_modal
+    _block_items, _lambda_witness, _shortest_product_below, \
+    all_congruences_direct, generate_filter_blocks, generate_filter_lambda
+from .modal import lambda_iter, reachable_values, validate_modal
 
 DEFAULT_SEED = 0x161
 
@@ -153,15 +154,8 @@ def _context(A: Algebra) -> _Context:
     n = A.size
     return _Context(
         tuple(tuple(A.star(a, b) for b in range(n)) for a in range(n)),
-        tuple(_block_filter(A, (c,)) for c in range(n)),
+        tuple(generate_filter_blocks(A, (c,), None, None) for c in range(n)),
         tuple(generate_filter_lambda(A, {c}) for c in range(n)))
-
-
-def _block_filter(A: Algebra, starts, bound=None):
-    values = set()
-    for c in starts:
-        values |= reachable_values(A, c, bound).keys()
-    return up_set(A, _products_up_to(A, values))
 
 
 def _star_pairs(A: Algebra, star, f: FiniteFunction):
@@ -176,37 +170,6 @@ def _star_pairs(A: Algebra, star, f: FiniteFunction):
             for x in cs:
                 p = prod[p][x]
             yield a, b, cs, p, star[fa][fb]
-
-
-def _shortest_product_below(A: Algebra, items, target):
-    """Labels of a shortest product of item values that lands below the
-    target, or None.  `items` are (value, label) pairs; breadth-first, with
-    the items tried in order, so the first minimal-length list is found."""
-    best = {A.one: ()}
-    frontier = dict(best)
-    while True:
-        for p in sorted(best):
-            if A.leq(p, target):
-                return best[p]
-        nxt = {}
-        for p, labels in frontier.items():
-            for v, label in items:
-                q = A.prod[p][v]
-                if q not in best and q not in nxt:
-                    nxt[q] = labels + (label,)
-        if not nxt:
-            return None
-        best.update(nxt)
-        frontier = nxt
-
-
-def _blocks_witness(A: Algebra, cs, target, bound=None):
-    """Shortest factor list ((block, slot), ...) whose product of block
-    values lands below the target, or None."""
-    items = [(v, (blk, slot)) for slot, c in enumerate(cs)
-             for v, blk in sorted(reachable_values(A, c, bound).items(),
-                                  key=lambda kv: (len(kv[1]), kv[1]))]
-    return _shortest_product_below(A, items, target)
 
 
 def compat_witness_kary(A: Algebra, f: FiniteFunction,
@@ -228,7 +191,8 @@ def compat_witness_kary(A: Algebra, f: FiniteFunction,
         else:
             # a truncated closure is not the generated filter, so it is
             # taken of the slot stars themselves rather than their product
-            ok = target in _block_filter(A, cs, block_len_bound)
+            ok = target in generate_filter_blocks(A, cs, block_len_bound,
+                                                  None)
         if not ok:
             saturated = block_len_bound is None or all(
                 reachable_values(A, c, block_len_bound)
@@ -237,8 +201,9 @@ def compat_witness_kary(A: Algebra, f: FiniteFunction,
                 return CompatReport(False, failing=((a, b),))
             return CompatReport(None, failing=((a, b),))
         if with_witnesses:
-            witnesses[(a, b)] = _blocks_witness(A, cs, target,
-                                                block_len_bound)
+            items = [(v, (blk, slot)) for slot, c in enumerate(cs)
+                     for v, blk in _block_items(A, c, block_len_bound)]
+            witnesses[(a, b)] = _shortest_product_below(A, items, target)
     return CompatReport(True, witnesses=witnesses)
 
 
@@ -255,22 +220,6 @@ def compat_witness_lambda(A: Algebra, f: FiniteFunction,
         if with_witnesses:
             witnesses[(a, b)] = _lambda_witness(A, cs, target)
     return CompatReport(True, witnesses=witnesses)
-
-
-def _lambda_witness(A: Algebra, cs, target):
-    """(least exponent l, slot indices of the certifying power product)."""
-    l = 0
-    level = list(cs)
-    while True:
-        factors = _shortest_product_below(
-            A, [(v, slot) for slot, v in enumerate(level)], target)
-        if factors is not None:
-            return l, factors
-        nxt = [lambda_op(A, v) for v in level]
-        if nxt == level:
-            return None
-        level = nxt
-        l += 1
 
 
 def _sweep_chunk(job):

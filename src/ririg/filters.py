@@ -4,6 +4,10 @@ A filter is a nonempty up-set closed under the product and under every
 modal table; filters are kept as frozensets of element indices.  A
 congruence is kept as a length-n tuple assigning to each element the least
 member of its class, so equal partitions compare equal structurally.
+
+Each generation route has its one implementation here (generate_filter,
+generate_filter_blocks, generate_filter_lambda), as has the shortest-product
+witness search (_shortest_product_below) that is_simple and compat share.
 """
 
 from __future__ import annotations
@@ -12,8 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import Algebra
-from .modal import (Block, apply_block, enumerate_blocks,
-                    lambda_op, reachable_values)
+from .modal import Block, lambda_op, reachable_values
 
 Subset = frozenset[int]
 Partition = tuple[int, ...]
@@ -25,7 +28,11 @@ ALGEBRA_CACHE_SIZE = 64
 
 
 class CapError(ValueError):
-    """An exhaustive scan refused an algebra larger than its size cap."""
+    """An exhaustive scan refused an algebra larger than its size cap; the
+    args are the message and the scan, "congruence" or "subuniverse"."""
+
+    def __str__(self):
+        return self.args[0]
 
 
 def up_set(A: Algebra, xs) -> Subset:
@@ -89,13 +96,13 @@ def _products_up_to(A: Algebra, values, count: int | None = None
     return acc
 
 
-def generate_filter_blocks(A: Algebra, X, block_len_bound: int,
-                           product_len_bound: int) -> Subset:
+def generate_filter_blocks(A: Algebra, X, block_len_bound: int | None,
+                           product_len_bound: int | None) -> Subset:
     """Bounded generated-filter approximation from below: the up-set of all
     products of at most product_len_bound block applications, each block of
-    length at most block_len_bound.  Monotone in both bounds."""
-    values = {apply_block(A, M, x)
-              for M in enumerate_blocks(A.sig, block_len_bound) for x in X}
+    length at most block_len_bound, None being no bound.  Monotone in both
+    bounds; with neither, the generated filter of an I-modal ririg."""
+    values = {v for x in X for v in reachable_values(A, x, block_len_bound)}
     return up_set(A, _products_up_to(A, values, product_len_bound))
 
 
@@ -196,8 +203,30 @@ def all_congruences_direct(A: Algebra, cap: int = DEFAULT_CONGRUENCE_CAP
                            ) -> list[Partition]:
     """Brute-force enumeration over all partitions of the universe."""
     if A.size > cap:
-        raise CapError(f"size {A.size} exceeds congruence oracle cap {cap}")
+        raise CapError(f"size {A.size} exceeds congruence oracle cap {cap}",
+                       "congruence")
     return list(_congruences_cached(A))
+
+
+def _union_find(n: int):
+    """find and union over range(n), each element alone at first; union
+    keeps the lesser root and says whether the two classes were apart."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+    return find, union
 
 
 def theta_from_filter(A: Algebra, F) -> Partition:
@@ -208,20 +237,11 @@ def theta_from_filter(A: Algebra, F) -> Partition:
     n = A.size
     # star-membership is an equivalence for genuine filters; the union-find
     # pass keeps the partition well formed regardless.
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    find, union = _union_find(n)
     for x in range(n):
         for y in range(x + 1, n):
             if A.star(x, y) in F:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
+                union(x, y)
     return normalize_partition(tuple(find(i) for i in range(n)))
 
 
@@ -238,21 +258,7 @@ def congruence_join(A: Algebra, th1: Partition, th2: Partition) -> Partition:
     """Least congruence above both: transitive closure of the union,
     re-closed under all operations."""
     n = A.size
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[max(ra, rb)] = min(ra, rb)
-        return True
-
+    find, union = _union_find(n)
     for th in (th1, th2):
         for i in range(n):
             union(i, th[i])
@@ -292,30 +298,54 @@ class SimplicityWitness:
     lam_power: int
 
 
-def _shortest_zero_product(A: Algebra, a: int):
-    """Minimal-length list of blocks M1..Mp with M1(a)*...*Mp(a) = 0, or
-    None.  Searches the multiplicative closure of the block-reachable
-    values of a, breadth-first in the number of factors."""
-    reach = reachable_values(A, a)
-    items = sorted(reach.items(), key=lambda kv: (len(kv[1]), kv[1]))
-    best: dict[int, tuple[Block, ...]] = {}
-    frontier: dict[int, tuple[Block, ...]] = {}
-    for v, blk in items:
-        if v not in best:
-            best[v] = (blk,)
-            frontier[v] = (blk,)
+def _block_items(A: Algebra, c: int, bound: int | None = None):
+    """(value, shortest block) for each value a block of length at most
+    `bound` takes at c, ordered by block length, then lexicographically."""
+    return sorted(reachable_values(A, c, bound).items(),
+                  key=lambda kv: (len(kv[1]), kv[1]))
+
+
+def _shortest_product_below(A: Algebra, items, target):
+    """Labels of a shortest product of item values below the target, or
+    None.  `items` are (value, label) pairs, tried in order breadth-first,
+    so each value keeps its first shortest list; among the shortest hits,
+    the least value's list is returned."""
+    if A.leq(A.one, target):
+        return ()
+    best = {}
+    for v, label in items:
+        best.setdefault(v, (label,))
+    frontier = best
     while frontier:
-        if A.zero in best:
-            return best[A.zero]
-        nxt: dict[int, tuple[Block, ...]] = {}
-        for p, blks in frontier.items():
-            for v, blk in items:
+        for p in sorted(frontier):
+            if A.leq(p, target):
+                return frontier[p]
+        nxt = {}
+        for p, labels in frontier.items():
+            for v, label in items:
                 q = A.prod[p][v]
                 if q not in best and q not in nxt:
-                    nxt[q] = blks + (blk,)
+                    nxt[q] = labels + (label,)
         best.update(nxt)
         frontier = nxt
-    return best.get(A.zero)
+    return None
+
+
+def _lambda_witness(A: Algebra, cs, target):
+    """(least exponent l, slot indices of a shortest product of the l-th
+    iterates of cs that lands below the target), or None."""
+    l = 0
+    level = list(cs)
+    while True:
+        factors = _shortest_product_below(
+            A, [(v, slot) for slot, v in enumerate(level)], target)
+        if factors is not None:
+            return l, factors
+        nxt = [lambda_op(A, v) for v in level]
+        if nxt == level:
+            return None
+        level = nxt
+        l += 1
 
 
 def _least_lambda_zero(A: Algebra, a: int):
@@ -349,7 +379,7 @@ def is_simple(A: Algebra):
     for a in range(A.size):
         if a == A.one:
             continue
-        blocks = _shortest_zero_product(A, a)
+        blocks = _shortest_product_below(A, _block_items(A, a), A.zero)
         if blocks is None:
             return False, None
         lam = _least_lambda_zero(A, a)
@@ -384,7 +414,8 @@ def subuniverses(A: Algebra, cap: int = DEFAULT_SUBUNIVERSE_CAP
     """All subsets containing 0 and 1 closed under every operation."""
     n = A.size
     if n > cap:
-        raise CapError(f"size {n} exceeds subuniverse scan cap {cap}")
+        raise CapError(f"size {n} exceeds subuniverse scan cap {cap}",
+                       "subuniverse")
     out = []
     for mask in range(1 << n):
         if not (mask >> A.zero & 1 and mask >> A.one & 1):

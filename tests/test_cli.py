@@ -209,12 +209,29 @@ def test_usage_errors(capsys, monkeypatch):
 
 
 def test_sweep_options_must_be_positive(capsys):
-    for option, extra in (("--random", ["--random", "0", "--jobs", "2"]),
-                          ("--arity", ["--random", "5", "--arity", "0"]),
-                          ("--random", ["--random", "-3"]),
-                          ("--jobs", ["--random", "5", "--jobs", "0"])):
-        assert main(["compatible", str(DATA / "g3id.alg")] + extra) == 2
-        assert f"{option} must be at least 1" in capsys.readouterr().err
+    compatible = ["compatible", str(DATA / "g3id.alg")]
+    blocks = compatible + ["--fn", str(DATA / "fn_g3_step.fn"),
+                           "--route", "blocks"]
+    lddt = ["lddt", "--catalog", str(DATA / "cat3_m.cat"), "--delta", "v0",
+            "--goal", "m1(v0)"]
+    for message, argv in (
+            ("--random must be at least 1",
+             compatible + ["--random", "0", "--jobs", "2"]),
+            ("--arity must be at least 1",
+             compatible + ["--random", "5", "--arity", "0"]),
+            ("--random must be at least 1", compatible + ["--random", "-3"]),
+            ("--jobs must be at least 1",
+             compatible + ["--random", "5", "--jobs", "0"]),
+            ("--block-bound must be at least 0",
+             blocks + ["--block-bound", "-1"]),
+            ("--block-bound must be at least 0",
+             lddt + ["--block-bound", "-1"]),
+            ("--product-bound must be at least 0",
+             lddt + ["--product-bound", "-1"]),
+            ("--max-exponent must be at least 0",
+             lddt + ["--lambda-mode", "--max-exponent", "-2"])):
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_witness_commands_refuse_invalid_algebra(capsys, tmp_path):
@@ -335,6 +352,8 @@ def test_replays_refuse_false_and_malformed_witnesses(capsys, built):
     g3d = DATA / "g3delta.alg"
     b2_form = "020001010001010100000001010100010001"  # b2 with m1 = id
     entails = ["entails", "--catalog", DATA / "cat3_m.cat", "v0 = 1"]
+    collapse = ["compatible", DATA / "g3id.alg", "--fn",
+                DATA / "fn_g3_collapse.fn"]
     cases = [
         (["cep", g3d], {"subuniverse": ["0", "1"], "congruence": [0]}, 1),
         (["si", DATA / "b2.alg"], {"elements": ["1"]}, 1),
@@ -356,6 +375,9 @@ def test_replays_refuse_false_and_malformed_witnesses(capsys, built):
          None, "cap"),
         (["compatible", product, "--random", "3", "--arity", "1"], None,
          "cap"),
+        (collapse, {"tuples": [["0"], ["1"]]}, 1),
+        (collapse, {"tuples": [["a", "1"], ["1"]]}, "witness field 'tuples'"),
+        (collapse, {"tuples": [["a"]]}, "witness field 'tuples'"),
     ]
     for argv, witness, expected in cases:
         if witness is not None:
@@ -391,8 +413,9 @@ def test_every_reported_witness_replays(capsys, tmp_path, built):
             code = main(["compatible", str(alg), "--fn", str(fn), "--json"])
             out = capsys.readouterr().out
             if code == 1:
-                replays.append((["compatible", alg, "--fn", fn],
-                                json.loads(out)["routes"]["direct"]["witness"]))
+                routes = json.loads(out)["routes"].values()
+                replays += [(["compatible", alg, "--fn", fn], r["witness"])
+                            for r in routes]
     for proof in sorted(PROOFS.glob("*.prf")):
         _, report = run_json(capsys, "prove", proof)
         broken = tmp_path / proof.name
@@ -415,6 +438,7 @@ def test_every_reported_witness_replays(capsys, tmp_path, built):
         "simple", "si", "compatible", "prove", "entails"}
     assert ["si", product] in [argv for argv, _ in replays]
     assert ["simple", product] in [argv for argv, _ in replays]
+    assert {"tuples", "congruence"} <= set().union(*(w for _, w in replays))
     for argv, witness in replays:
         code, report = run_json(capsys, *argv, "--verify-witness",
                                 json.dumps(witness))
@@ -427,3 +451,30 @@ def test_jobs_only_on_compatible(capsys):
             main([command, str(DATA / "g3.alg"), "--jobs", "2"])
         assert exit_.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_options_only_where_read(capsys, built):
+    """--verify-witness and the caps are declared only on the commands that
+    read them, and a cap error names the cap of the scan that failed."""
+    _, product, _ = built
+    g3 = str(DATA / "g3.alg")
+    for argv in (["filters", g3, "--verify-witness", '{"bogus": 1}',
+                  "--subuniverse-cap", "0"],
+                 ["gen-filter", g3, "--verify-witness", "{}"],
+                 ["laf", g3, "--fn", str(DATA / "fn_g3_step.fn"),
+                  "--verify-witness", "{}"],
+                 ["congruences", g3, "--verify-witness", "{}"],
+                 ["congruences", g3, "--subuniverse-cap", "3"],
+                 ["check", g3, "--congruence-cap", "3"],
+                 ["compatible", g3, "--subuniverse-cap", "3"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+    for extra, hint, other in (
+            (["--subuniverse-cap", "3", "--congruence-cap", "6"],
+             "--subuniverse-cap", "--congruence-cap"),
+            ([], "--congruence-cap", "--subuniverse-cap")):
+        assert main(["cep", str(product)] + extra) == 2
+        err = capsys.readouterr().err
+        assert f"raise it with {hint}" in err and other not in err, err

@@ -1,15 +1,21 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
+from ririg.catalog import catalog_load
 from ririg.fixtures import b2, luk3
-from ririg.filters import all_congruences_direct, all_ifilters, cep_check, \
-    congruence_join, filter_from_theta, generate_filter, \
-    generate_filter_blocks, generate_filter_blocks_stabilized, \
-    generate_filter_lambda, induced_subalgebra, is_ifilter, \
-    is_simple, is_subdirectly_irreducible, partitions, principal_congruence, \
-    restrict_congruence, subuniverses, theta_from_filter
-from ririg.modal import ModalSignature
+from ririg.filters import _block_items, _lambda_witness, \
+    _least_lambda_zero, _products_up_to, all_congruences_direct, \
+    all_ifilters, cep_check, congruence_join, filter_from_theta, \
+    generate_filter, generate_filter_blocks, \
+    generate_filter_blocks_stabilized, generate_filter_lambda, \
+    induced_subalgebra, is_ifilter, is_simple, is_subdirectly_irreducible, \
+    partitions, principal_congruence, restrict_congruence, subuniverses, \
+    theta_from_filter, up_set
+from ririg.modal import ModalSignature, apply_block, enumerate_blocks
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def brute_is_filter(A, S):
@@ -50,6 +56,53 @@ def test_generate_filter_blocks_bounded(G3D):
     assert generate_filter_blocks(G3D, {1}, 0, 1) == frozenset({1, 2})
     assert generate_filter_blocks(G3D, {1}, 1, 1) == frozenset({0, 1, 2})
     assert generate_filter_blocks(G3D, {2}, 3, 3) == frozenset({2})
+
+
+def words_filter(A, X, block_len_bound, product_len_bound):
+    """Independent oracle for the block route: the up-set of products of at
+    most product_len_bound values M(x), M any word of length at most
+    block_len_bound."""
+    values = {apply_block(A, M, x)
+              for M in enumerate_blocks(A.sig, block_len_bound) for x in X}
+    return up_set(A, _products_up_to(A, values, product_len_bound))
+
+
+def test_block_route_matches_word_oracle(catalog4):
+    for A in catalog4 + catalog_load(DATA / "cat3_m.cat").algebras():
+        for mask in range(1 << A.size):
+            X = {i for i in range(A.size) if mask >> i & 1}
+            for b, p in itertools.product(range(3), repeat=2):
+                assert generate_filter_blocks(A, X, b, p) \
+                    == words_filter(A, X, b, p), (A, X, b, p)
+            assert generate_filter_blocks(A, X, None, None) \
+                == generate_filter(A, X)
+
+
+def test_simplicity_witnesses_are_shortest():
+    simple = [A for A in catalog_load(DATA / "cat4_m.cat").algebras()
+              if A.size > 1 and is_simple(A)[0]]
+    assert simple
+    for A in simple:
+        _, witnesses = is_simple(A)
+        for a, w in witnesses.items():
+            values = [apply_block(A, M, a) for M in w.blocks]
+            product = A.one
+            for v in values:
+                product = A.prod[product][v]
+            assert product == A.zero
+            # words of length < size reach every value a block takes at a
+            reach = {apply_block(A, M, a)
+                     for M in enumerate_blocks(A.sig, A.size - 1)}
+            assert reach == {v for v, _ in _block_items(A, a)}
+            for count in range(len(values)):
+                for combo in itertools.product(reach, repeat=count):
+                    product = A.one
+                    for v in combo:
+                        product = A.prod[product][v]
+                    assert product != A.zero, (A, a, combo)
+            l, slots = _lambda_witness(A, [a], A.zero)
+            assert _least_lambda_zero(A, a) == (l, len(slots)) \
+                == (w.lam_exponent, w.lam_power)
 
 
 def test_generate_filter_is_least(catalog3):
