@@ -189,6 +189,13 @@ def _require_at_least(args, least, *options):
             raise CliError(f"--{option} must be at least {least}")
 
 
+def _refuse_given(args, reason, *options):
+    """Refuse any of the options that was given where it is not read."""
+    for option in options:
+        if getattr(args, option.replace("-", "_")) is not None:
+            raise CliError(f"--{option} {reason}")
+
+
 def _verdict(reproduced, **report):
     """Exit code and report of a witness replay."""
     report["reproduced"] = reproduced
@@ -406,6 +413,8 @@ def cmd_compatible(args):
     if args.fn is None and args.random is None:
         raise CliError("pass --fn FILE or --random N")
     if args.fn is not None:
+        _refuse_given(args, "does not apply with --fn",
+                      "random", "arity", "jobs")
         f = _load_function(args.fn, A)
         if "tuples" in (_witness_object(args) or {}):
             (a, b), = _read_witness(args, labels, tuples=("tuples", f.arity))
@@ -428,11 +437,11 @@ def cmd_compatible(args):
         return (OK if verdicts == {"compatible"} else FAIL), report
     # seeded random agreement sweep
     _require_at_least(args, 1, "random", "arity", "jobs")
-    disagreements = cp.agreement_sweep(A, args.arity, args.random,
-                                       args.seed, jobs=args.jobs,
-                                       cap=args.congruence_cap)
-    report = {"seed": args.seed, "sampled": args.random,
-              "arity": args.arity,
+    arity = 2 if args.arity is None else args.arity
+    jobs = 1 if args.jobs is None else args.jobs
+    disagreements = cp.agreement_sweep(A, arity, args.random, args.seed,
+                                       jobs=jobs, cap=args.congruence_cap)
+    report = {"seed": args.seed, "sampled": args.random, "arity": arity,
               "disagreements": [
                   {"table": list(f.table), "direct": d, "blocks": b,
                    "lambda": l} for f, d, b, l in disagreements]}
@@ -587,6 +596,10 @@ def cmd_entails(args):
 
 def cmd_lddt(args):
     _require_at_least(args, 0, "block-bound", "product-bound", "max-exponent")
+    if args.lambda_mode:
+        _refuse_given(args, "does not apply with --lambda-mode", "block-bound")
+    else:
+        _refuse_given(args, "applies only with --lambda-mode", "max-exponent")
     algebras = _load_catalog(args).algebras()
     try:
         gamma = [parse_formula(t) for t in (args.gamma or [])]
@@ -596,10 +609,12 @@ def cmd_lddt(args):
         raise CliError(str(e)) from None
     sig = algebras[0].sig
     w = lddt_witness(gamma, delta, goal, algebras,
-                     block_len_bound=args.block_bound,
+                     block_len_bound=(2 if args.block_bound is None
+                                      else args.block_bound),
                      product_bound=args.product_bound,
                      lambda_mode=args.lambda_mode,
-                     max_exponent=args.max_exponent)
+                     max_exponent=(4 if args.max_exponent is None
+                                   else args.max_exponent))
     if w is None:
         return UNDECIDED, {
             "witness": None,
@@ -698,9 +713,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="include per-pair witnesses in the report")
     p.add_argument("--random", type=int, default=None,
                    help="agreement sweep over N random functions")
-    p.add_argument("--arity", type=int, default=2)
+    p.add_argument("--arity", type=int, default=None,
+                   help="arity of the sampled functions (default 2)")
     p.add_argument("--seed", type=int, default=cp.DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes for the sweep (default 1)")
     p = alg("laf", cmd_laf, help="local polynomial join representation")
     p.add_argument("--fn", required=True)
     p.add_argument("--points", nargs="*",
@@ -727,10 +744,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", action="append", metavar="FORMULA")
     p.add_argument("--delta", nargs="+", required=True, metavar="FORMULA")
     p.add_argument("--goal", required=True, metavar="FORMULA")
-    p.add_argument("--block-bound", type=int, default=2)
+    p.add_argument("--block-bound", type=int, default=None,
+                   help="longest block tried (default 2; not with "
+                        "--lambda-mode)")
     p.add_argument("--product-bound", type=int, default=2)
     p.add_argument("--lambda-mode", action="store_true")
-    p.add_argument("--max-exponent", type=int, default=4)
+    p.add_argument("--max-exponent", type=int, default=None,
+                   help="largest lambda exponent tried (default 4; only "
+                        "with --lambda-mode)")
     p = alg("cep", cmd_cep, "congruence extension check", witness, ccap, scap)
     return top
 

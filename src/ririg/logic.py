@@ -4,7 +4,10 @@ entailment over finite algebra catalogs, and deduction-witness search.
 
 Entailment here is always relative to a finite catalog of algebras: a
 countermodel genuinely refutes, while a positive answer certifies only the
-catalog, not the whole variety.
+catalog, not the whole variety.  `semantic_entails` compiles a query's
+equations once (`terms.Program`) and then compares value columns per
+algebra; `soundness_check` and every `lddt_witness` candidate go through
+it.
 """
 
 from __future__ import annotations
@@ -12,14 +15,14 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Union
 
 from .core import ModalSignature
 from .modal import Block, enumerate_blocks
 from .parsing import ParseError, format_term, parse_formula
 from .terms import (BOT, TOP, Const, Equation, Imp, Join, ModalApp, Prod,
-                    Term, Var, eval_term, modal_names_of, valuations,
-                    variables_of)
+                    Program, Term, Var, modal_names_of, variables_of)
 
 Formula = Term
 
@@ -350,45 +353,46 @@ def rho(eq: Equation) -> frozenset[Formula]:
     return frozenset({Imp(eq.lhs, eq.rhs), Imp(eq.rhs, eq.lhs)})
 
 
-def _signature_of(catalog) -> ModalSignature:
-    sigs = {A.sig for A in catalog}
-    if len(sigs) != 1:
+def _signature_of(catalog: list) -> ModalSignature:
+    """The signature every catalog algebra shares (compared by names)."""
+    if not catalog or any(map(catalog[0].sig.names.__ne__,
+                              map(attrgetter("sig.names"), catalog))):
         raise ValueError("catalog algebras do not share one signature")
-    return next(iter(sigs))
+    return catalog[0].sig
 
 
 def semantic_entails(catalog, premises, goal: Equation,
                      cap: int | None = 4096):
     """(holds, countermodel): in every catalog algebra, every valuation
     satisfying all premise equations satisfies the goal.  The countermodel
-    is (algebra, valuation)."""
+    is (algebra, valuation): the first algebra in catalog order with one,
+    and its first valuation in lexicographic order.
+
+    The equations are compiled once into a `terms.Program`; each algebra
+    then costs one run over all its valuations and a comparison of the
+    goal's two columns.  An algebra over the valuation cap raises only
+    when the scan reaches it.
+    """
     catalog = list(catalog)
     if not catalog:
         raise ValueError("empty catalog")
     sig = _signature_of(catalog)
-    premises = list(premises)
-    eqs = premises + [goal]
-    names = set()
-    vars_: set[int] = set()
-    for eq in eqs:
-        names |= modal_names_of(eq.lhs) | modal_names_of(eq.rhs)
-        vars_ |= variables_of(eq.lhs) | variables_of(eq.rhs)
-    outside = names - set(sig.names)
+    program = Program(premises, goal)
+    outside = program.modal_names - set(sig.names)
     if outside:
         raise ValueError(f"modal names {sorted(outside)} outside the "
                          "catalog signature")
     for A in catalog:
-        for v in valuations(A, vars_, cap):
-            if all(eval_term(A, v, e.lhs) == eval_term(A, v, e.rhs)
-                   for e in premises):
-                if eval_term(A, v, goal.lhs) != eval_term(A, v, goal.rhs):
-                    return False, (A, v)
+        v = program.countermodel(A, cap)
+        if v is not None:
+            return False, (A, v)
     return True, None
 
 
 def soundness_check(proof: Proof, catalog, cap: int | None = 4096) -> bool:
     """A checked proof must be semantically valid over any catalog; False
     is a bug certificate for the checker or the evaluator."""
+    catalog = list(catalog)
     result = check_proof(proof, _signature_of(catalog))
     if not result.ok:
         raise ValueError(f"proof does not check: line {result.bad_line}: "

@@ -83,8 +83,9 @@ def reachable_values(A: Algebra, a: int, max_len: int | None = None
                      ) -> dict[int, Block]:
     """Map each value M(a) attainable by some block M to a shortest such M.
 
-    Breadth-first over the modal tables, so the recorded blocks are minimal
-    in length and, among equals, lexicographically first.  The set is closed
+    Breadth-first over the modal tables, so each recorded block is a
+    shortest one; among blocks of that length it is the first found, which
+    need not be the lexicographically first.  The set is closed
     (all blocks covered) when max_len is None or large enough; a too-small
     bound just truncates the search.
     """

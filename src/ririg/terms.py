@@ -1,10 +1,18 @@
 """Terms over the algebra signature, equation checking, and the equational
-classification used for the chain-generated subvariety."""
+classification used for the chain-generated subvariety.
+
+`eval_term` evaluates one term under one valuation.  Exhaustive checks go
+through `Program`, which compiles equations once into a straight-line
+program and runs it on an algebra over every valuation at once, in the
+order of `valuations`, so its first countermodel is the first that a scan
+with `eval_term` over `valuations` meets.
+"""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import eq as _eq, getitem, ne as _ne
 from typing import Union
 
 from .core import Algebra, ModalSignature
@@ -107,25 +115,110 @@ def eval_term(A: Algebra, valuation: dict[int, int], t: Term) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
+def _check_cap(size: int, count: int, cap: int | None) -> None:
+    """Refuse a scan of size^count valuations above `cap` (None: no cap)."""
+    if cap is not None and size ** count > cap:
+        raise ValueError(
+            f"{size}^{count} valuations exceed cap {cap}; "
+            "pass cap=None to force the scan")
+
+
 def valuations(A: Algebra, variables, cap: int | None = DEFAULT_VALUATION_CAP):
     """All assignments for the given variables in lexicographic order."""
     vs = sorted(variables)
-    if cap is not None and A.size ** len(vs) > cap:
-        raise ValueError(
-            f"{A.size}^{len(vs)} valuations exceed cap {cap}; "
-            "pass cap=None to force the scan")
+    _check_cap(A.size, len(vs), cap)
     for combo in itertools.product(range(A.size), repeat=len(vs)):
         yield dict(zip(vs, combo))
+
+
+class Program:
+    """Premise equations and a goal equation, compiled once for any algebra.
+
+    Each instruction is one distinct subterm, keyed by its operator and the
+    slots of its arguments, so equal subterms share one slot.  Running the
+    program on an algebra gives every slot a column: its value under each
+    valuation of `variables`, in the order of `valuations`.
+    """
+
+    def __init__(self, premises, goal: Equation):
+        self._slots: dict[tuple, int] = {}
+        self.modal_names: set[str] = set()
+        self.premises = [self._equation(e) for e in premises]
+        self.goal = self._equation(goal)
+        self.variables = tuple(sorted(i for op, i, _ in self._slots
+                                      if op == "var"))
+        position = {v: p for p, v in enumerate(self.variables)}
+        self._code = tuple((op, position[x], y) if op == "var" else (op, x, y)
+                           for op, x, y in self._slots)
+
+    def _equation(self, e: Equation) -> tuple[int, int]:
+        return self._slot(e.lhs), self._slot(e.rhs)
+
+    def _slot(self, t: Term) -> int:
+        match t:
+            case Var(i):
+                key = ("var", i, None)
+            case Const(w):
+                key = ("const", w, None)
+            case Join(l, r):
+                key = ("join", self._slot(l), self._slot(r))
+            case Prod(l, r):
+                key = ("prod", self._slot(l), self._slot(r))
+            case Imp(l, r):
+                key = ("imp", self._slot(l), self._slot(r))
+            case ModalApp(name, a):
+                key = ("modal", name, self._slot(a))
+                self.modal_names.add(name)
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+        return self._slots.setdefault(key, len(self._slots))
+
+    def _columns(self, A: Algebra) -> list:
+        """Every slot's values in A over all size^k valuations."""
+        n = A.size
+        by_position = list(map(list, zip(*itertools.product(
+            range(n), repeat=len(self.variables)))))
+        cols = []
+        for op, x, y in self._code:
+            if op == "var":
+                col = by_position[x]
+            elif op == "const":
+                col = [A.zero if x == 0 else A.one] * n ** len(self.variables)
+            elif op == "modal":
+                col = list(map(A.modal(x).__getitem__, cols[y]))
+            else:  # "join", "prod" and "imp" name the algebra's tables
+                col = list(map(getitem, map(getattr(A, op).__getitem__,
+                                            cols[x]), cols[y]))
+            cols.append(col)
+        return cols
+
+    def countermodel(self, A: Algebra, cap: int | None
+                     ) -> dict[int, int] | None:
+        """The first valuation in lexicographic order under which every
+        premise holds in A and the goal fails, or None."""
+        _check_cap(A.size, len(self.variables), cap)
+        cols = self._columns(A)
+        lhs, rhs = cols[self.goal[0]], cols[self.goal[1]]
+        if lhs == rhs:
+            return None
+        masks = [map(_ne, lhs, rhs)]
+        masks += [map(_eq, cols[l], cols[r]) for l, r in self.premises]
+        index = next(itertools.compress(itertools.count(),
+                                        map(all, zip(*masks))), None)
+        if index is None:
+            return None
+        digits = []
+        for _ in self.variables:
+            index, digit = divmod(index, A.size)
+            digits.append(digit)
+        return dict(zip(self.variables, reversed(digits)))
 
 
 def holds(A: Algebra, eq: Equation, cap: int | None = DEFAULT_VALUATION_CAP):
     """Exhaustive equation check; returns (True, None) or (False, v) with
     the first failing valuation in lexicographic order."""
-    vars_ = variables_of(eq.lhs) | variables_of(eq.rhs)
-    for v in valuations(A, vars_, cap):
-        if eval_term(A, v, eq.lhs) != eval_term(A, v, eq.rhs):
-            return False, v
-    return True, None
+    v = Program((), eq).countermodel(A, cap)
+    return v is None, v
 
 
 def is_chain(A: Algebra) -> bool:

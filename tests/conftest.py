@@ -1,8 +1,68 @@
+import pathlib
+
 import pytest
 
-from ririg.catalog import catalog_build
+from ririg.catalog import catalog_build, catalog_load
 from ririg.fixtures import b2, b2_pair, b2_pair_with_identity, g3, g3_delta, \
     g3_id, luk3
+from ririg.terms import Const, Imp, Join, ModalApp, Prod, Var, eval_term, \
+    valuations, variables_of
+
+DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
+
+
+def _scan_countermodel(A, premises, goal, cap):
+    """The oracle of `terms.Program`, valuation by valuation over
+    `eval_term`: at each valuation in the order of `valuations`, the
+    premises first, then the goal; the first valuation where every premise
+    holds and the goal fails, or None."""
+    vars_ = set()
+    for e in list(premises) + [goal]:
+        vars_ |= variables_of(e.lhs) | variables_of(e.rhs)
+    for v in valuations(A, vars_, cap):
+        if all(eval_term(A, v, e.lhs) == eval_term(A, v, e.rhs)
+               for e in premises):
+            if eval_term(A, v, goal.lhs) != eval_term(A, v, goal.rhs):
+                return v
+    return None
+
+
+def _random_term(rng, depth, nvars, modals=()):
+    """A seeded term over v0..v(nvars-1) (constants only when nvars is 0);
+    a binary node reuses its left subterm as its right one a fifth of the
+    time, so shared subterm objects occur."""
+    if depth == 0 or rng.random() < 0.3:
+        pick = rng.randrange(nvars + 2)
+        return Var(pick) if pick < nvars else Const(pick - nvars)
+    kinds = [Join, Prod, Imp] + [ModalApp] * bool(modals)
+    kind = rng.choice(kinds)
+    if kind is ModalApp:
+        return ModalApp(rng.choice(modals),
+                        _random_term(rng, depth - 1, nvars, modals))
+    lhs = _random_term(rng, depth - 1, nvars, modals)
+    if rng.random() < 0.2:
+        return kind(lhs, lhs)
+    return kind(lhs, _random_term(rng, depth - 1, nvars, modals))
+
+
+@pytest.fixture(scope="session")
+def scan_countermodel():
+    return _scan_countermodel
+
+
+@pytest.fixture(scope="session")
+def random_term():
+    return _random_term
+
+
+@pytest.fixture(scope="session")
+def modal_catalogs(catalog4):
+    """One-modal catalogs of one signature each: data/cat3_m.cat, the
+    one-modal part of `catalog4`, and every 20th algebra of the (5, 1)
+    catalog, sizes 1 to 5."""
+    return {"cat3_m": catalog_load(DATA / "cat3_m.cat").algebras(),
+            "catalog4": [A for A in catalog4 if A.sig.names],
+            "5-1 slice": catalog_build(5, 1).algebras()[::20]}
 
 
 @pytest.fixture(scope="session")

@@ -455,9 +455,25 @@ def test_jobs_only_on_compatible(capsys):
 
 def test_options_only_where_read(capsys, built):
     """--verify-witness and the caps are declared only on the commands that
-    read them, and a cap error names the cap of the scan that failed."""
+    read them, options a mode ignores are refused, and a cap error names
+    the cap of the scan that failed."""
     _, product, _ = built
     g3 = str(DATA / "g3.alg")
+    with_fn = ["compatible", str(DATA / "g3id.alg"), "--fn",
+               str(DATA / "fn_g3_step.fn")]
+    lddt = ["lddt", "--catalog", str(DATA / "cat3_m.cat"), "--delta", "v0",
+            "--goal", "m1(v0)"]
+    for message, argv in (
+            ("--random does not apply with --fn",
+             with_fn + ["--random", "5", "--arity", "0", "--jobs", "0"]),
+            ("--arity does not apply with --fn", with_fn + ["--arity", "2"]),
+            ("--jobs does not apply with --fn", with_fn + ["--jobs", "1"]),
+            ("--block-bound does not apply with --lambda-mode",
+             lddt + ["--lambda-mode", "--block-bound", "9"]),
+            ("--max-exponent applies only with --lambda-mode",
+             lddt + ["--max-exponent", "9"])):
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
     for argv in (["filters", g3, "--verify-witness", '{"bogus": 1}',
                   "--subuniverse-cap", "0"],
                  ["gen-filter", g3, "--verify-witness", "{}"],

@@ -1,4 +1,5 @@
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,6 +170,57 @@ def test_soundness_rejects_invalid_sequent():
     assert not ok
     A, valuation = cm
     assert A.size == 2 and valuation == {0: 1, 1: 0}
+
+
+def _scan_entails(catalog, premises, goal, cap, scan_countermodel):
+    for A in catalog:
+        v = scan_countermodel(A, premises, goal, cap)
+        if v is not None:
+            return False, (A, v)
+    return True, None
+
+
+def test_semantic_entails_matches_recursive_scan(modal_catalogs,
+                                                 scan_countermodel,
+                                                 random_term):
+    rng = random.Random(21)
+    for name, algebras in sorted(modal_catalogs.items()):
+        modals = algebras[0].sig.names
+        for _ in range(40):
+            nvars = rng.randint(0, 3)
+            premises = [Equation(random_term(rng, 2, nvars, modals),
+                                 random_term(rng, 1, nvars, modals))
+                        for _ in range(rng.randint(0, 2))]
+            goal = Equation(random_term(rng, 3, nvars, modals),
+                            random_term(rng, 2, nvars, modals))
+            got = semantic_entails(algebras, premises, goal, cap=None)
+            want = _scan_entails(algebras, premises, goal, None,
+                                 scan_countermodel)
+            assert got[0] == want[0], (name, premises, goal)
+            if not got[0]:
+                assert got[1][0] is want[1][0]
+                assert list(got[1][1].items()) == list(want[1][1].items())
+
+
+def test_semantic_entails_cap_is_reached_lazily(scan_countermodel):
+    # b2 refutes the goal with 2^5 valuations; g3 has 3^5 > 64
+    goal = parse_equation("v0 | v1 | v2 | v3 | v4 = v0")
+    catalog = [b2(), g3()]
+    assert semantic_entails(catalog, [], goal, cap=64) \
+        == _scan_entails(catalog, [], goal, 64, scan_countermodel) \
+        == (False, (catalog[0], {0: 0, 1: 0, 2: 0, 3: 0, 4: 1}))
+    valid = parse_equation("v0 | v1 | v2 | v3 | v4 = v4 | v3 | v2 | v1 | v0")
+    with pytest.raises(ValueError) as scanned:
+        _scan_entails(catalog, [], valid, 64, scan_countermodel)
+    with pytest.raises(ValueError) as compiled:
+        semantic_entails(catalog, [], valid, cap=64)
+    assert str(compiled.value) == str(scanned.value) \
+        == "3^5 valuations exceed cap 64; pass cap=None to force the scan"
+
+
+def test_soundness_check_accepts_an_iterator(catalog3_modal):
+    proof = parse_proof((PROOFS_DIR / "thm_weakening.prf").read_text())
+    assert soundness_check(proof, iter(catalog3_modal))
 
 
 def test_soundness_check_requires_checked_proof(catalog3_modal):

@@ -1,13 +1,15 @@
+import random
+
 import pytest
 
 from ririg.core import EMPTY_SIGNATURE
 from ririg.fixtures import g3, g3_delta
 from ririg.modal import ModalSignature, enumerate_blocks
 from ririg.parsing import parse_equation, parse_term
-from ririg.terms import eval_term, fg_intersection_check, holds, \
-    in_chain_variety, is_chain, is_contractive, join_splitting_block, \
-    satisfies_join_subdistribution, satisfies_prelinearity, \
-    verify_join_splitting
+from ririg.terms import Const, Equation, Imp, Join, ModalApp, Prod, Var, \
+    eval_term, fg_intersection_check, holds, in_chain_variety, is_chain, \
+    is_contractive, join_splitting_block, satisfies_join_subdistribution, \
+    satisfies_prelinearity, verify_join_splitting
 
 
 def test_eval_term_examples(G3, G3D):
@@ -45,6 +47,42 @@ def test_holds_valuation_cap(G3):
         holds(G3, eq)
     ok, _ = holds(G3, eq, cap=None)
     assert not ok
+
+
+def _same_answer(got, countermodel):
+    """`holds`' answer equals the scan's, valuation keys in order too."""
+    assert got == (countermodel is None, countermodel)
+    if countermodel is not None:
+        assert list(got[1].items()) == list(countermodel.items())
+
+
+def test_holds_matches_recursive_scan(modal_catalogs, scan_countermodel,
+                                      random_term):
+    rng = random.Random(20)
+    for name, algebras in sorted(modal_catalogs.items()):
+        modals = algebras[0].sig.names
+        for _ in range(150):
+            A = rng.choice(algebras)
+            nvars = rng.randint(0, 3)
+            eq = Equation(random_term(rng, 3, nvars, modals),
+                          random_term(rng, 2, nvars, modals))
+            _same_answer(holds(A, eq, cap=None),
+                         scan_countermodel(A, [], eq, None))
+
+
+def test_holds_shared_constant_and_closed_terms(G3D, scan_countermodel):
+    P, Q = Var(0), Var(2)
+    shared = Join(P, ModalApp("m", P))
+    for eq in (Equation(Prod(shared, shared), shared),
+               Equation(Imp(shared, Q), Imp(Join(P, ModalApp("m", P)), Q)),
+               Equation(Prod(P, Q), Prod(Q, P)),
+               Equation(Imp(Q, Q), Const(1)),
+               Equation(ModalApp("m", Const(1)), Const(1)),
+               Equation(Const(0), Imp(Const(0), Const(0))),
+               Equation(Join(Const(0), Const(1)), Const(1)),
+               Equation(ModalApp("m", Prod(shared, Q)), shared)):
+        _same_answer(holds(G3D, eq), scan_countermodel(G3D, [], eq, 256))
+    assert holds(G3D, Equation(Const(0), Const(1))) == (False, {})
 
 
 def test_is_contractive_examples(G3D, G3I):
