@@ -106,14 +106,19 @@ def _parse_elements(spec_text: str, labels) -> list[int]:
     return [_parse_element(part, labels) for part in spec_text.split(",")]
 
 
-def _load_catalog(args) -> cat.Catalog:
+def _load_catalog(args) -> list:
+    """The algebras of the --catalog or $RIRIG_CATALOG file; a missing,
+    unreadable or empty catalog is a usage error."""
     path = getattr(args, "catalog", None) or os.environ.get(ENV_CATALOG)
     if not path:
         raise CliError(f"no catalog: pass --catalog or set {ENV_CATALOG}")
     try:
-        return cat.catalog_load(path)
+        algebras = cat.catalog_load(path).algebras()
     except (OSError, ValueError) as e:
         raise CliError(f"cannot load catalog: {e}") from None
+    if not algebras:
+        raise CliError("empty catalog")
+    return algebras
 
 
 def _read_witness(args, labels, **kinds):
@@ -358,17 +363,19 @@ def cmd_classify(args):
 
 
 def _compat_routes(A, f, args):
+    route = "all" if args.route is None else args.route
+    witnesses = bool(args.witnesses)
     routes = {}
-    if args.route in ("all", "direct"):
+    if route in ("all", "direct"):
         routes["direct"] = cp.is_compatible_direct(A, f,
                                                    cap=args.congruence_cap)
-    if args.route in ("all", "blocks"):
+    if route in ("all", "blocks"):
         routes["blocks"] = cp.compat_witness_kary(
             A, f, block_len_bound=args.block_bound,
-            with_witnesses=args.witnesses)
-    if args.route in ("all", "lambda"):
+            with_witnesses=witnesses)
+    if route in ("all", "lambda"):
         routes["lambda"] = cp.compat_witness_lambda(
-            A, f, with_witnesses=args.witnesses)
+            A, f, with_witnesses=witnesses)
     return routes
 
 
@@ -414,7 +421,7 @@ def cmd_compatible(args):
         raise CliError("pass --fn FILE or --random N")
     if args.fn is not None:
         _refuse_given(args, "does not apply with --fn",
-                      "random", "arity", "jobs")
+                      "random", "arity", "jobs", "seed")
         f = _load_function(args.fn, A)
         if "tuples" in (_witness_object(args) or {}):
             (a, b), = _read_witness(args, labels, tuples=("tuples", f.arity))
@@ -436,12 +443,15 @@ def cmd_compatible(args):
             return UNDECIDED, report
         return (OK if verdicts == {"compatible"} else FAIL), report
     # seeded random agreement sweep
+    _refuse_given(args, "does not apply with --random",
+                  "route", "block-bound", "witnesses")
     _require_at_least(args, 1, "random", "arity", "jobs")
     arity = 2 if args.arity is None else args.arity
     jobs = 1 if args.jobs is None else args.jobs
-    disagreements = cp.agreement_sweep(A, arity, args.random, args.seed,
+    seed = cp.DEFAULT_SEED if args.seed is None else args.seed
+    disagreements = cp.agreement_sweep(A, arity, args.random, seed,
                                        jobs=jobs, cap=args.congruence_cap)
-    report = {"seed": args.seed, "sampled": args.random, "arity": arity,
+    report = {"seed": seed, "sampled": args.random, "arity": arity,
               "disagreements": [
                   {"table": list(f.table), "direct": d, "blocks": b,
                    "lambda": l} for f, d, b, l in disagreements]}
@@ -539,7 +549,7 @@ def cmd_prove(args):
         return FAIL, report
     report["conclusion"] = format_term(proof.conclusion())
     if args.catalog or os.environ.get(ENV_CATALOG):
-        algebras = _load_catalog(args).algebras()
+        algebras = _load_catalog(args)
         sound = soundness_check(proof, algebras)
         report["soundness"] = {
             "catalog-size": len(algebras),
@@ -552,7 +562,7 @@ def cmd_prove(args):
 
 
 def cmd_entails(args):
-    algebras = _load_catalog(args).algebras()
+    algebras = _load_catalog(args)
     try:
         premises = [parse_equation(t) for t in (args.assume or [])]
         goal = parse_equation(args.goal)
@@ -600,7 +610,7 @@ def cmd_lddt(args):
         _refuse_given(args, "does not apply with --lambda-mode", "block-bound")
     else:
         _refuse_given(args, "applies only with --lambda-mode", "max-exponent")
-    algebras = _load_catalog(args).algebras()
+    algebras = _load_catalog(args)
     try:
         gamma = [parse_formula(t) for t in (args.gamma or [])]
         delta = [parse_formula(t) for t in args.delta]
@@ -707,15 +717,16 @@ def _build_parser() -> argparse.ArgumentParser:
             "check a function for congruence compatibility", witness, ccap)
     p.add_argument("--fn", help="function file (JSON)")
     p.add_argument("--route", choices=("all", "direct", "blocks", "lambda"),
-                   default="all")
+                   default=None, help="decision route (default all)")
     p.add_argument("--block-bound", type=int, default=None)
-    p.add_argument("--witnesses", action="store_true",
+    p.add_argument("--witnesses", action="store_true", default=None,
                    help="include per-pair witnesses in the report")
     p.add_argument("--random", type=int, default=None,
                    help="agreement sweep over N random functions")
     p.add_argument("--arity", type=int, default=None,
                    help="arity of the sampled functions (default 2)")
-    p.add_argument("--seed", type=int, default=cp.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"seed of the sweep (default {cp.DEFAULT_SEED})")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes for the sweep (default 1)")
     p = alg("laf", cmd_laf, help="local polynomial join representation")

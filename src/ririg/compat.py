@@ -6,8 +6,15 @@ The block and iterate routes decide the same condition: the symmetric
 implication product of the two output tuples must land in the filter
 generated by the slotwise star values of the argument pairs.  A filter is
 up-closed and product-closed and x*y <= x, y, so Fg(X) = Fg(prod X): each
-pair is decided by one lookup in a per-algebra table of the filters
-generated by single elements, for every arity.  That rule, and the
+pair is decided by one bit test in a per-algebra bitmask of the filter
+generated by a single element, the product of the pair's slot stars.
+Those products are tabled too, once per algebra and arity over all pairs
+of argument tuples, so a verdict is a loop over that table and the star
+row of each output, and only the first failing pair is decoded into
+tuples.  A witness depends only on the pair's slot stars and output star,
+so it is searched once per such shape and call.  A finite block-length
+bound truncates the closure, and that route still runs pair by pair,
+with its truncated filter kept per set of slot stars.  That rule, and the
 routes themselves, hold only in an I-modal ririg, so both witness routes
 refuse an algebra that fails validate_ririg or validate_modal.  Both
 routes' filters and their shortest-product witness search live in filters.
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -140,36 +147,125 @@ def check_modal_ririg(A: Algebra) -> None:
 
 @dataclass(frozen=True)
 class _Context:
-    """Per-algebra tables: star[a][b], and for each element c the filter
-    it generates by the block route and by the contraction route."""
+    """Per-algebra tables: star[a][b]; for each element c the filter it
+    generates by the block route and by the contraction route, as sets and
+    as bitmasks; and, filled per arity k on first use, `products[k]`, the
+    slot-star products of all pairs of k-tuples, flat and row-major, so
+    that entry a*n**k + b is the product of star(a_i, b_i) over the slots
+    (tuples indexed as base-n numerals, last slot least significant)."""
 
     star: tuple[tuple[int, ...], ...]
     blocks: tuple[frozenset[int], ...]
     lam: tuple[frozenset[int], ...]
+    block_masks: tuple[int, ...]
+    lam_masks: tuple[int, ...]
+    products: dict = field(compare=False)
+
+
+def _mask(S) -> int:
+    return sum(1 << x for x in S)
 
 
 @lru_cache(maxsize=ALGEBRA_CACHE_SIZE)
 def _context(A: Algebra) -> _Context:
     check_modal_ririg(A)
     n = A.size
+    blocks = tuple(generate_filter_blocks(A, (c,), None, None)
+                   for c in range(n))
+    lam = tuple(generate_filter_lambda(A, {c}) for c in range(n))
     return _Context(
         tuple(tuple(A.star(a, b) for b in range(n)) for a in range(n)),
-        tuple(generate_filter_blocks(A, (c,), None, None) for c in range(n)),
-        tuple(generate_filter_lambda(A, {c}) for c in range(n)))
+        blocks, lam, tuple(map(_mask, blocks)), tuple(map(_mask, lam)),
+        {0: (A.one,)})
+
+
+def _slot_products(A: Algebra, ctx: _Context, k: int):
+    """ctx.products[k], built from the table of arity k - 1 by one more
+    slot, multiplied on the right as the slots are read left to right."""
+    table = ctx.products.get(k)
+    if table is None:
+        prev = _slot_products(A, ctx, k - 1)
+        width = A.size ** (k - 1)
+        out = []
+        for i in range(0, len(prev), width):
+            row = prev[i:i + width]
+            for srow in ctx.star:
+                for p in row:
+                    out.extend(map(A.prod[p].__getitem__, srow))
+        # one byte an entry while the elements fit in one
+        table = ctx.products[k] = bytes(out) if A.size <= 256 else tuple(out)
+    return table
+
+
+def _tuple_at(index: int, n: int, k: int) -> tuple[int, ...]:
+    """The k-tuple whose base-n numeral is `index`."""
+    digits = []
+    for _ in range(k):
+        index, d = divmod(index, n)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+def _first_failure(A: Algebra, ctx: _Context, f: FiniteFunction, masks):
+    """The first pair (a, b) of argument tuples, in row-major order, whose
+    output star is outside the filter that masks[p] holds for its slot-star
+    product p, or None."""
+    products = _slot_products(A, ctx, f.arity)
+    table = f.table
+    width = len(table)
+    for i, fa in enumerate(table):
+        srow = ctx.star[fa]
+        row = products[i * width:(i + 1) * width]
+        for j, (p, fb) in enumerate(zip(row, table)):
+            if not masks[p] >> srow[fb] & 1:
+                return (_tuple_at(i, A.size, f.arity),
+                        _tuple_at(j, A.size, f.arity))
+    return None
 
 
 def _star_pairs(A: Algebra, star, f: FiniteFunction):
     """Each pair (a, b) of argument tuples, in row-major order, with its
-    slot stars, their product and the output star."""
-    prod, one = A.prod, A.one
+    slot stars and the output star."""
     tuples = list(itertools.product(range(A.size), repeat=f.arity))
     for a, fa in zip(tuples, f.table):
-        for b, fb in zip(tuples, f.table):
-            cs = [star[x][y] for x, y in zip(a, b)]
-            p = one
-            for x in cs:
-                p = prod[p][x]
-            yield a, b, cs, p, star[fa][fb]
+        srow = star[fa]
+        # the slot stars of (a, b) for every b, in the order of `tuples`
+        slot_stars = itertools.product(*(star[x] for x in a))
+        for b, cs, fb in zip(tuples, slot_stars, f.table):
+            yield a, b, cs, srow[fb]
+
+
+def _witnesses(A: Algebra, ctx: _Context, f: FiniteFunction, search):
+    """search(slot stars, output star) for each pair, in row-major order;
+    it depends on nothing else, so it runs once per distinct pair shape."""
+    memo = {}
+    out = {}
+    for a, b, cs, target in _star_pairs(A, ctx.star, f):
+        key = cs, target
+        try:
+            out[a, b] = memo[key]
+        except KeyError:
+            out[a, b] = memo[key] = search(cs, target)
+    return out
+
+
+def _bounded_failure(A: Algebra, ctx: _Context, f: FiniteFunction,
+                     bound: int) -> CompatReport | None:
+    """The report of the first pair outside the filter that blocks of
+    length at most `bound` generate from its slot stars, or None."""
+    filters = {}
+    for a, b, cs, target in _star_pairs(A, ctx.star, f):
+        # a truncated closure is not the generated filter, so it is taken
+        # of the slot stars themselves rather than their product
+        key = frozenset(cs)
+        if key not in filters:
+            filters[key] = generate_filter_blocks(A, key, bound, None)
+        if target not in filters[key]:
+            saturated = all(reachable_values(A, c, bound)
+                            == reachable_values(A, c) for c in key)
+            return CompatReport(False if saturated else None,
+                                failing=((a, b),))
+    return None
 
 
 def compat_witness_kary(A: Algebra, f: FiniteFunction,
@@ -184,27 +280,22 @@ def compat_witness_kary(A: Algebra, f: FiniteFunction,
     """
     check_size(A, f)
     ctx = _context(A)
-    witnesses = {} if with_witnesses else None
-    for a, b, cs, p, target in _star_pairs(A, ctx.star, f):
-        if block_len_bound is None:
-            ok = target in ctx.blocks[p]
-        else:
-            # a truncated closure is not the generated filter, so it is
-            # taken of the slot stars themselves rather than their product
-            ok = target in generate_filter_blocks(A, cs, block_len_bound,
-                                                  None)
-        if not ok:
-            saturated = block_len_bound is None or all(
-                reachable_values(A, c, block_len_bound)
-                == reachable_values(A, c) for c in cs)
-            if saturated:
-                return CompatReport(False, failing=((a, b),))
-            return CompatReport(None, failing=((a, b),))
-        if with_witnesses:
-            items = [(v, (blk, slot)) for slot, c in enumerate(cs)
-                     for v, blk in _block_items(A, c, block_len_bound)]
-            witnesses[(a, b)] = _shortest_product_below(A, items, target)
-    return CompatReport(True, witnesses=witnesses)
+    if block_len_bound is None:
+        failing = _first_failure(A, ctx, f, ctx.block_masks)
+        if failing is not None:
+            return CompatReport(False, failing=(failing,))
+    else:
+        report = _bounded_failure(A, ctx, f, block_len_bound)
+        if report is not None:
+            return report
+    if not with_witnesses:
+        return CompatReport(True)
+
+    def search(cs, target):
+        items = [(v, (blk, slot)) for slot, c in enumerate(cs)
+                 for v, blk in _block_items(A, c, block_len_bound)]
+        return _shortest_product_below(A, items, target)
+    return CompatReport(True, witnesses=_witnesses(A, ctx, f, search))
 
 
 def compat_witness_lambda(A: Algebra, f: FiniteFunction,
@@ -213,13 +304,13 @@ def compat_witness_lambda(A: Algebra, f: FiniteFunction,
     exact, since the iteration stabilizes pointwise."""
     check_size(A, f)
     ctx = _context(A)
-    witnesses = {} if with_witnesses else None
-    for a, b, cs, p, target in _star_pairs(A, ctx.star, f):
-        if target not in ctx.lam[p]:
-            return CompatReport(False, failing=((a, b),))
-        if with_witnesses:
-            witnesses[(a, b)] = _lambda_witness(A, cs, target)
-    return CompatReport(True, witnesses=witnesses)
+    failing = _first_failure(A, ctx, f, ctx.lam_masks)
+    if failing is not None:
+        return CompatReport(False, failing=(failing,))
+    if not with_witnesses:
+        return CompatReport(True)
+    return CompatReport(True, witnesses=_witnesses(
+        A, ctx, f, lambda cs, target: _lambda_witness(A, cs, target)))
 
 
 def _sweep_chunk(job):

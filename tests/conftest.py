@@ -1,10 +1,15 @@
+import itertools
 import pathlib
 
 import pytest
 
 from ririg.catalog import catalog_build, catalog_load
+from ririg.compat import CompatReport, _context
+from ririg.filters import _block_items, _lambda_witness, \
+    _shortest_product_below, generate_filter_blocks
 from ririg.fixtures import b2, b2_pair, b2_pair_with_identity, g3, g3_delta, \
     g3_id, luk3
+from ririg.modal import reachable_values
 from ririg.terms import Const, Imp, Join, ModalApp, Prod, Var, eval_term, \
     valuations, variables_of
 
@@ -25,6 +30,52 @@ def _scan_countermodel(A, premises, goal, cap):
             if eval_term(A, v, goal.lhs) != eval_term(A, v, goal.rhs):
                 return v
     return None
+
+
+def _star_pairs(A, star, f):
+    """Each pair (a, b) of argument tuples, in row-major order, with its
+    slot stars, their product taken left to right and the output star."""
+    prod, one = A.prod, A.one
+    tuples = list(itertools.product(range(A.size), repeat=f.arity))
+    for a, fa in zip(tuples, f.table):
+        for b, fb in zip(tuples, f.table):
+            cs = [star[x][y] for x, y in zip(a, b)]
+            p = one
+            for x in cs:
+                p = prod[p][x]
+            yield a, b, cs, p, star[fa][fb]
+
+
+def _pairwise_compat(A, f, route, block_len_bound=None,
+                     with_witnesses=True):
+    """The oracle of `compat_witness_kary` (route "blocks") and
+    `compat_witness_lambda` (route "lambda"): a scan pair by pair in
+    row-major order, each pair decided by membership in the filter its
+    slot-star product generates (the truncated block filter of the slot
+    stars under a bound), each witness searched afresh."""
+    ctx = _context(A)
+    witnesses = {} if with_witnesses else None
+    for a, b, cs, p, target in _star_pairs(A, ctx.star, f):
+        if route == "lambda":
+            ok = target in ctx.lam[p]
+        elif block_len_bound is None:
+            ok = target in ctx.blocks[p]
+        else:
+            ok = target in generate_filter_blocks(A, cs, block_len_bound,
+                                                  None)
+        if not ok:
+            saturated = route == "lambda" or block_len_bound is None or all(
+                reachable_values(A, c, block_len_bound)
+                == reachable_values(A, c) for c in cs)
+            return CompatReport(False if saturated else None,
+                                failing=((a, b),))
+        if with_witnesses and route == "lambda":
+            witnesses[(a, b)] = _lambda_witness(A, cs, target)
+        elif with_witnesses:
+            items = [(v, (blk, slot)) for slot, c in enumerate(cs)
+                     for v, blk in _block_items(A, c, block_len_bound)]
+            witnesses[(a, b)] = _shortest_product_below(A, items, target)
+    return CompatReport(True, witnesses=witnesses)
 
 
 def _random_term(rng, depth, nvars, modals=()):
@@ -48,6 +99,11 @@ def _random_term(rng, depth, nvars, modals=()):
 @pytest.fixture(scope="session")
 def scan_countermodel():
     return _scan_countermodel
+
+
+@pytest.fixture(scope="session")
+def pairwise_compat():
+    return _pairwise_compat
 
 
 @pytest.fixture(scope="session")

@@ -264,6 +264,19 @@ def test_entails_bad_catalog_exits_2(tmp_path):
         assert main(["entails", "--catalog", str(bad), "v0 -> v0 = 1"]) == 2
 
 
+def test_empty_catalog_exits_2(capsys, tmp_path):
+    header = json.loads((DATA / "cat3_m.cat").read_text().splitlines()[0])
+    header["count"] = 0
+    empty = tmp_path / "empty.cat"
+    empty.write_text(json.dumps(header) + "\n")
+    for argv in (["entails", "--catalog", empty, "v0 -> v0 = 1"],
+                 ["lddt", "--catalog", empty, "--delta", "v0",
+                  "--goal", "m1(v0)"],
+                 ["prove", PROOFS / "thm_prod_assoc.prf", "--catalog", empty]):
+        assert main([str(a) for a in argv]) == 2, argv
+        assert capsys.readouterr().err == "error: empty catalog\n", argv
+
+
 def test_json_reports_stable(capsys):
     _, first = run(capsys, "classify", DATA / "g3delta.alg", "--json")
     _, second = run(capsys, "classify", DATA / "g3delta.alg", "--json")
@@ -461,6 +474,7 @@ def test_options_only_where_read(capsys, built):
     g3 = str(DATA / "g3.alg")
     with_fn = ["compatible", str(DATA / "g3id.alg"), "--fn",
                str(DATA / "fn_g3_step.fn")]
+    sweep = ["compatible", str(DATA / "g3id.alg"), "--random", "5"]
     lddt = ["lddt", "--catalog", str(DATA / "cat3_m.cat"), "--delta", "v0",
             "--goal", "m1(v0)"]
     for message, argv in (
@@ -468,6 +482,15 @@ def test_options_only_where_read(capsys, built):
              with_fn + ["--random", "5", "--arity", "0", "--jobs", "0"]),
             ("--arity does not apply with --fn", with_fn + ["--arity", "2"]),
             ("--jobs does not apply with --fn", with_fn + ["--jobs", "1"]),
+            ("--seed does not apply with --fn", with_fn + ["--seed", "99"]),
+            ("--route does not apply with --random",
+             sweep + ["--route", "direct"]),
+            ("--route does not apply with --random",
+             sweep + ["--route", "all"]),
+            ("--block-bound does not apply with --random",
+             sweep + ["--block-bound", "1"]),
+            ("--witnesses does not apply with --random",
+             sweep + ["--witnesses"]),
             ("--block-bound does not apply with --lambda-mode",
              lddt + ["--lambda-mode", "--block-bound", "9"]),
             ("--max-exponent applies only with --lambda-mode",

@@ -249,3 +249,46 @@ def test_laf_binary(G3I):
     B = list(itertools.product(range(3), repeat=2))
     rep = laf_representation(G3I, prod_fn, B)
     assert rep.verified
+
+
+def _sampled_functions(A, k, rng, random_term):
+    """A seeded random table of arity k, a term function, and a copy of
+    the term function with its last entry moved: a term function is
+    compatible, so the copy can fail only at the pairs through the last
+    tuple, late in row-major order."""
+    n = A.size
+    points = list(itertools.product(range(n), repeat=k))
+    term = random_term(rng, 3, k, A.sig.names)
+    table = [eval_term(A, dict(enumerate(x)), term) for x in points]
+    moved = table[:-1] + [(table[-1] + 1) % n]
+    return [random_function(n, k, rng), FiniteFunction(k, table),
+            FiniteFunction(k, moved)]
+
+
+def test_tabled_routes_match_pairwise_scan(catalog3, catalog4, modal_catalogs,
+                                           pairwise_compat, random_term):
+    # the pairwise scan is slow on ternary functions, most of all under a
+    # block bound, so those run on spaced samples of the algebras
+    small = catalog3 + modal_catalogs["cat3_m"]
+    size4 = [A for A in catalog4 if A.size == 4]
+    every_bound = (None, 0, 1, 2)
+    plan = [(small, (1, 2), every_bound), (small, (3,), (None,)),
+            (small[::6], (3,), (0, 1, 2)), (size4, (1,), every_bound),
+            (size4[::6], (2,), every_bound), (size4[::16], (3,), (None,))]
+    rng = random.Random(0x7AB1ED)
+    late_failures = 0
+    for algebras, arities, bounds in plan:
+        for A, k in itertools.product(algebras, arities):
+            for f in _sampled_functions(A, k, rng, random_term):
+                for bound, wit in itertools.product(bounds, (False, True)):
+                    assert compat_witness_kary(A, f, bound, wit) == \
+                        pairwise_compat(A, f, "blocks", bound, wit)
+                for wit in (False, True):
+                    report = compat_witness_lambda(A, f, wit)
+                    assert report == pairwise_compat(A, f, "lambda", None,
+                                                     wit)
+                if report.failing is not None:
+                    (a, _), = report.failing
+                    late_failures += any(a)
+    # most moved copies fail only past the first row of pairs
+    assert late_failures > 100
