@@ -422,6 +422,9 @@ def cmd_compatible(args):
     if args.fn is not None:
         _refuse_given(args, "does not apply with --fn",
                       "random", "arity", "jobs", "seed")
+        if args.verify_witness is not None:
+            _refuse_given(args, "does not apply with --verify-witness",
+                          "route", "block-bound", "witnesses")
         f = _load_function(args.fn, A)
         if "tuples" in (_witness_object(args) or {}):
             (a, b), = _read_witness(args, labels, tuples=("tuples", f.arity))
@@ -444,7 +447,7 @@ def cmd_compatible(args):
         return (OK if verdicts == {"compatible"} else FAIL), report
     # seeded random agreement sweep
     _refuse_given(args, "does not apply with --random",
-                  "route", "block-bound", "witnesses")
+                  "route", "block-bound", "witnesses", "verify-witness")
     _require_at_least(args, 1, "random", "arity", "jobs")
     arity = 2 if args.arity is None else args.arity
     jobs = 1 if args.jobs is None else args.jobs

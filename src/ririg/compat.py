@@ -376,13 +376,16 @@ def laf_representation(A: Algebra, f: FiniteFunction, B) -> LafRepresentation:
     if not compat_witness_lambda(A, f, with_witnesses=False).compatible:
         raise ValueError("function is not compatible")
     star = _context(A).star
+    # the least exponent depends only on the slot stars and output star
+    memo = {}
 
     def least_exponent(a, x):
-        cs = [star[ai][xi] for ai, xi in zip(a, x)]
-        target = star[f(*a)][f(*x)]
-        wit = _lambda_witness(A, cs, target)
-        assert wit is not None, "no exponent certifies a compatible pair"
-        return wit[0]
+        key = tuple(star[ai][xi] for ai, xi in zip(a, x)), star[f(*a)][f(*x)]
+        if key not in memo:
+            wit = _lambda_witness(A, *key)
+            assert wit is not None, "no exponent certifies a compatible pair"
+            memo[key] = wit[0]
+        return memo[key]
 
     pair_exponents = {(a, x): least_exponent(a, x)
                       for a in points for x in points}

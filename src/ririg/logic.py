@@ -7,7 +7,12 @@ countermodel genuinely refutes, while a positive answer certifies only the
 catalog, not the whole variety.  `semantic_entails` compiles a query's
 equations once (`terms.Program`) and then compares value columns per
 algebra; `soundness_check` and every `lddt_witness` candidate go through
-it.
+it.  An equation's value columns depend only on the tables it reads, so
+each query runs once per distinct reduct of the catalog (size, join, prod,
+imp, constants and the tables of the modals it names), on the first
+algebra of that reduct.  The reducts and the shared signature live in one
+index per catalog, kept while the same sequence holds the same algebra
+objects (checked by identity on every call).
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import lru_cache
+from operator import is_
 from typing import Optional, Union
 
 from .core import ModalSignature
@@ -353,12 +359,69 @@ def rho(eq: Equation) -> frozenset[Formula]:
     return frozenset({Imp(eq.lhs, eq.rhs), Imp(eq.rhs, eq.lhs)})
 
 
-def _signature_of(catalog: list) -> ModalSignature:
-    """The signature every catalog algebra shares (compared by names)."""
-    if not catalog or any(map(catalog[0].sig.names.__ne__,
-                              map(attrgetter("sig.names"), catalog))):
-        raise ValueError("catalog algebras do not share one signature")
-    return catalog[0].sig
+class _CatalogIndex:
+    """A catalog's shared signature, checked once, and per set of modal
+    names the first algebra of each distinct reduct in catalog order.
+
+    Two algebras with the same size, join, prod, imp, constants and
+    tables of the named modals give every query over those modals the
+    same value columns, so the first failing representative is the first
+    failing algebra of the catalog, with the same first valuation.
+    """
+
+    def __init__(self, catalog):
+        self.algebras = tuple(catalog)
+        # the signature every algebra shares, compared by names
+        if len({A.sig.names for A in self.algebras}) != 1:
+            raise ValueError("catalog algebras do not share one signature")
+        self.sig = self.algebras[0].sig
+        self._representatives: dict[frozenset, list] = {}
+
+    def matches(self, catalog) -> bool:
+        """Whether `catalog` holds exactly the indexed algebra objects."""
+        return (len(catalog) == len(self.algebras)
+                and all(map(is_, catalog, self.algebras)))
+
+    def representatives(self, names) -> list:
+        """The first algebra of each distinct reduct over the modal
+        `names`, in catalog order; grouped on first use."""
+        names = frozenset(names)
+        reps = self._representatives.get(names)
+        if reps is None:
+            positions = [self.sig.index(name) for name in sorted(names)]
+            first: dict[tuple, object] = {}
+            for A in self.algebras:
+                key = (A.size, A.join, A.prod, A.imp, A.zero, A.one,
+                       *[A.modal_tables[p] for p in positions])
+                first.setdefault(key, A)
+            reps = self._representatives[names] = list(first.values())
+        return reps
+
+
+CATALOG_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=CATALOG_CACHE_SIZE)
+def _index_slot(catalog_id: int) -> list:
+    """A one-place holder for the index of the catalog with this id."""
+    return [None]
+
+
+def _catalog_index(catalog) -> _CatalogIndex:
+    """The index of a catalog sequence, built again unless the one kept for
+    this object still holds the same algebra objects: an id alone can be
+    reused, and a list can be changed in place."""
+    slot = _index_slot(id(catalog))
+    index = slot[0]
+    if index is None or not index.matches(catalog):
+        index = slot[0] = _CatalogIndex(catalog)
+    return index
+
+
+def _sequence(catalog):
+    """The catalog itself when it is a list or tuple, so that its index
+    is reused; any other iterable is read into a new list."""
+    return catalog if isinstance(catalog, (list, tuple)) else list(catalog)
 
 
 def semantic_entails(catalog, premises, goal: Equation,
@@ -368,21 +431,27 @@ def semantic_entails(catalog, premises, goal: Equation,
     is (algebra, valuation): the first algebra in catalog order with one,
     and its first valuation in lexicographic order.
 
-    The equations are compiled once into a `terms.Program`; each algebra
-    then costs one run over all its valuations and a comparison of the
-    goal's two columns.  An algebra over the valuation cap raises only
-    when the scan reaches it.
+    The equations are compiled once into a `terms.Program`, which then
+    runs once per distinct reduct that the query reads (size, join, prod,
+    imp, constants and the tables of the modals it names), on the first
+    catalog algebra of each, in catalog order: the other algebras of a
+    reduct give the same columns, so the answer and the countermodel are
+    those of a scan of every algebra.  The reducts and the signature check
+    are kept per catalog and reused while the same list or tuple holds the
+    same algebra objects (compared by identity); any other iterable is
+    indexed afresh.  An algebra over the valuation cap raises only when
+    the scan reaches it.
     """
-    catalog = list(catalog)
+    catalog = _sequence(catalog)
     if not catalog:
         raise ValueError("empty catalog")
-    sig = _signature_of(catalog)
+    index = _catalog_index(catalog)
     program = Program(premises, goal)
-    outside = program.modal_names - set(sig.names)
+    outside = program.modal_names - set(index.sig.names)
     if outside:
         raise ValueError(f"modal names {sorted(outside)} outside the "
                          "catalog signature")
-    for A in catalog:
+    for A in index.representatives(program.modal_names):
         v = program.countermodel(A, cap)
         if v is not None:
             return False, (A, v)
@@ -392,8 +461,8 @@ def semantic_entails(catalog, premises, goal: Equation,
 def soundness_check(proof: Proof, catalog, cap: int | None = 4096) -> bool:
     """A checked proof must be semantically valid over any catalog; False
     is a bug certificate for the checker or the evaluator."""
-    catalog = list(catalog)
-    result = check_proof(proof, _signature_of(catalog))
+    catalog = _sequence(catalog)
+    result = check_proof(proof, _catalog_index(catalog).sig)
     if not result.ok:
         raise ValueError(f"proof does not check: line {result.bad_line}: "
                          f"{result.reason}")
@@ -446,8 +515,8 @@ def lddt_witness(gamma, delta, psi: Formula, catalog,
     disproof.  A caller-supplied proof is attached to the witness after
     being checked against the found candidate formula.
     """
-    catalog = list(catalog)
-    sig = _signature_of(catalog)
+    catalog = _sequence(catalog)
+    sig = _catalog_index(catalog).sig
     gamma = list(gamma)
     delta = list(delta)
     premises = tau_set(gamma)

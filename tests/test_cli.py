@@ -475,6 +475,9 @@ def test_options_only_where_read(capsys, built):
     with_fn = ["compatible", str(DATA / "g3id.alg"), "--fn",
                str(DATA / "fn_g3_step.fn")]
     sweep = ["compatible", str(DATA / "g3id.alg"), "--random", "5"]
+    replay = ["compatible", str(DATA / "g3id.alg"), "--fn",
+              str(DATA / "fn_g3_collapse.fn"), "--verify-witness",
+              '{"tuples": [["a"], ["1"]]}']
     lddt = ["lddt", "--catalog", str(DATA / "cat3_m.cat"), "--delta", "v0",
             "--goal", "m1(v0)"]
     for message, argv in (
@@ -491,6 +494,14 @@ def test_options_only_where_read(capsys, built):
              sweep + ["--block-bound", "1"]),
             ("--witnesses does not apply with --random",
              sweep + ["--witnesses"]),
+            ("--verify-witness does not apply with --random",
+             sweep + ["--verify-witness", '{"bogus": 1}']),
+            ("--route does not apply with --verify-witness",
+             replay + ["--route", "direct"]),
+            ("--block-bound does not apply with --verify-witness",
+             replay + ["--block-bound", "0"]),
+            ("--witnesses does not apply with --verify-witness",
+             replay + ["--witnesses"]),
             ("--block-bound does not apply with --lambda-mode",
              lddt + ["--lambda-mode", "--block-bound", "9"]),
             ("--max-exponent applies only with --lambda-mode",

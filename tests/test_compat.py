@@ -6,6 +6,7 @@ from ririg.catalog import enumerate_ririgs
 from ririg.compat import FiniteFunction, agreement_sweep, \
     all_unary_functions, compat_witness_kary, compat_witness_lambda, \
     is_compatible_direct, laf_representation, random_function, slot_function
+from ririg.filters import _lambda_witness, _shortest_product_below
 from ririg.fixtures import luk3
 from ririg.modal import ModalSignature, apply_block, lambda_iter
 from ririg.terms import eval_term
@@ -249,6 +250,54 @@ def test_laf_binary(G3I):
     B = list(itertools.product(range(3), repeat=2))
     rep = laf_representation(G3I, prod_fn, B)
     assert rep.verified
+
+
+def _laf_per_pair(A, f, points):
+    """pair_exponents, joins and verified of `laf_representation`, with the
+    least exponent searched afresh for every pair of points."""
+    star = [[A.star(a, b) for b in range(A.size)] for a in range(A.size)]
+    exponents = {}
+    for a in points:
+        for x in points:
+            cs = [star[ai][xi] for ai, xi in zip(a, x)]
+            exponents[a, x] = _lambda_witness(A, cs, star[f(*a)][f(*x)])[0]
+    anchor = {a: max(exponents[a, x] for x in points) for a in points}
+    joins = {}
+    for x in points:
+        terms = []
+        for a in points:
+            cs = [lambda_iter(A, anchor[a], star[ai][xi])
+                  for ai, xi in zip(a, x)]
+            factors = _shortest_product_below(
+                A, [(v, slot) for slot, v in enumerate(cs)],
+                star[f(*a)][f(*x)])
+            val = f(*a)
+            for slot in factors:
+                val = A.prod[val][cs[slot]]
+            terms.append(val)
+        join = terms[0]
+        for t in terms[1:]:
+            join = A.join[join][t]
+        joins[x] = (tuple(terms), join)
+    verified = all(join == f(*x) for x, (_, join) in joins.items())
+    return exponents, joins, verified
+
+
+def test_laf_matches_per_pair_search(catalog4):
+    """The exponent memo keyed on a pair's slot stars and output star
+    changes no field, on every compatible unary function of catalog4."""
+    checked = 0
+    for A in catalog4:
+        points = [(x,) for x in range(A.size)]
+        for f in all_unary_functions(A.size):
+            if not compat_witness_lambda(A, f,
+                                         with_witnesses=False).compatible:
+                continue
+            rep = laf_representation(A, f, points)
+            assert (rep.pair_exponents, rep.joins, rep.verified) \
+                == _laf_per_pair(A, f, rep.points), (A, f)
+            checked += 1
+    assert checked > 10000
 
 
 def _sampled_functions(A, k, rng, random_term):

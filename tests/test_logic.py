@@ -1,9 +1,11 @@
+import copy
 import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ririg.catalog import catalog_build, catalog_load
 from ririg.fixtures import b2, g3
 from ririg.logic import Ax, Hyp, JoinElim, MP, Nec, Proof, ProofLine, \
     check_proof, lambda_formula, lddt_witness, match_schema, \
@@ -12,9 +14,10 @@ from ririg.logic import Ax, Hyp, JoinElim, MP, Nec, Proof, ProofLine, \
 from ririg.modal import ModalSignature, format_block
 from ririg.parsing import format_term, parse_equation, parse_formula
 from ririg.terms import BOT, TOP, Const, Equation, Imp, Join, ModalApp, \
-    Prod, Var, eval_term, valuations, variables_of
+    Prod, Var, eval_term, modal_names_of, valuations, variables_of
 
 PROOFS_DIR = pathlib.Path(__file__).resolve().parents[1] / "proofs"
+DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 
 P, Q = Var(0), Var(1)
 
@@ -200,6 +203,92 @@ def test_semantic_entails_matches_recursive_scan(modal_catalogs,
             if not got[0]:
                 assert got[1][0] is want[1][0]
                 assert list(got[1][1].items()) == list(want[1][1].items())
+
+
+def _reduct(A, names):
+    return (A.size, A.join, A.prod, A.imp, A.zero, A.one,
+            *[A.modal(name) for name in sorted(names)])
+
+
+def test_semantic_entails_per_reduct_matches_per_algebra_scan(
+        catalog4, scan_countermodel, random_term):
+    """Catalogs whose reducts repeat, also reversed so that other members
+    come first: the answer, the countermodel's algebra object and its
+    valuation are those of the scan of every algebra."""
+    catalogs = {"catalog4": [A for A in catalog4 if A.sig.names],
+                "cat4_m": catalog_load(DATA / "cat4_m.cat").algebras(),
+                "3-2": catalog_build(3, 2).algebras()}
+    rng = random.Random(7)
+    outcomes = set()
+    for name, algebras in sorted(catalogs.items()):
+        for catalog in (algebras, algebras[::-1]):
+            modals = catalog[0].sig.names
+            for case in range(32):
+                used = (modals[case % len(modals)],) if case % 2 else ()
+                nvars = rng.randint(1, 3)
+                premises = [Equation(random_term(rng, 2, nvars, used),
+                                     random_term(rng, 1, nvars, used))
+                            for _ in range(case // 2 % 2)]
+                goal = Equation(random_term(rng, 3, nvars, used),
+                                random_term(rng, 2, nvars, used))
+                got = semantic_entails(catalog, premises, goal, cap=None)
+                want = _scan_entails(catalog, premises, goal, None,
+                                     scan_countermodel)
+                assert got[0] == want[0], (name, premises, goal)
+                if got[0]:
+                    outcomes.add("holds")
+                    continue
+                assert got[1][0] is want[1][0], (name, premises, goal)
+                assert list(got[1][1].items()) == list(want[1][1].items())
+                names = {n for e in premises + [goal]
+                         for n in modal_names_of(e.lhs) | modal_names_of(e.rhs)}
+                shared = sum(_reduct(A, names) == _reduct(got[1][0], names)
+                             for A in catalog)
+                outcomes.add("refuted in a shared reduct" if shared > 1
+                             else "refuted")
+    assert outcomes == {"holds", "refuted", "refuted in a shared reduct"}
+
+
+def test_semantic_entails_follows_changes_to_the_catalog(catalog3_modal,
+                                                         scan_countermodel):
+    """The per-catalog index is reused only while the same sequence holds
+    the same algebra objects."""
+    excluded_middle = parse_equation("(v0 | (v0 -> bot)) = 1")
+    boolean = [A for A in catalog3_modal
+               if scan_countermodel(A, [], excluded_middle, None) is None]
+    other = next(A for A in catalog3_modal if A not in boolean)
+    catalog = list(boolean)
+    assert semantic_entails(catalog, [], excluded_middle) == (True, None)
+    # an algebra whose reduct no earlier call has seen
+    catalog[-1] = other
+    got = semantic_entails(catalog, [], excluded_middle)
+    assert got[0] is False and got[1][0] is other
+    assert got == _scan_entails(catalog, [], excluded_middle, None,
+                                scan_countermodel)
+    # an equal algebra that is another object
+    catalog[-1] = copy.deepcopy(other)
+    assert semantic_entails(catalog, [], excluded_middle)[1][0] \
+        is catalog[-1] is not other
+    # an algebra of another signature
+    catalog.append(g3())
+    for call in (lambda: semantic_entails(catalog, [], excluded_middle),
+                 lambda: soundness_check(parse_proof("1. v0 -> v0 ; ax1"),
+                                         catalog),
+                 lambda: lddt_witness([], [P], P, catalog)):
+        with pytest.raises(ValueError, match="do not share one signature"):
+            call()
+
+
+def test_iterators_and_certificates_cover_the_whole_catalog(
+        catalog3_modal):
+    goal = parse_equation("v0 * v1 = v1 * v0")
+    for _ in range(2):
+        assert semantic_entails(iter(catalog3_modal), [], goal) \
+            == (True, None)
+    expected = f"over {len(catalog3_modal)} catalog algebras"
+    for catalog in (catalog3_modal, iter(catalog3_modal), catalog3_modal):
+        w = lddt_witness([], [P], ModalApp("m1", P), catalog)
+        assert expected in w.certificate
 
 
 def test_semantic_entails_cap_is_reached_lazily(scan_countermodel):
