@@ -6,11 +6,11 @@ from .modal import Block, EPS, apply_block, check_product_form, \
     enumerate_blocks, format_block, lambda_iter, lambda_op, parse_block, \
     reachable_values, validate_modal
 from .filters import all_congruences_direct, all_ifilters, cep_check, \
-    congruence_join, filter_from_theta, generate_filter, \
+    congruence_join, congruences_of, filter_from_theta, generate_filter, \
     generate_filter_blocks, generate_filter_blocks_stabilized, \
     generate_filter_lambda, induced_subalgebra, is_ifilter, is_simple, \
-    is_subdirectly_irreducible, principal_congruence, subuniverses, \
-    theta_from_filter
+    is_subdirectly_irreducible, principal_congruence, simple_from_filters, \
+    subuniverses, theta_from_filter
 from .terms import Const, Equation, Imp, Join, ModalApp, Prod, Term, Var, \
     eval_term, fg_intersection_check, holds, in_chain_variety, is_chain, \
     is_contractive, join_splitting_block, satisfies_join_subdistribution, \

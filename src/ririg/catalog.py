@@ -192,7 +192,7 @@ class CatalogEntry:
                      form: Optional[bytes] = None) -> "CatalogEntry":
         """Compute the entry's flags; `form`, when given, must be
         `canonical_form(A)` and saves recomputing it."""
-        from .filters import is_simple, is_subdirectly_irreducible
+        from .filters import is_subdirectly_irreducible, simple_from_filters
         trivial = A.size == 1
         return cls(
             algebra=A,
@@ -201,7 +201,7 @@ class CatalogEntry:
             chain=is_chain(A),
             contractive=is_contractive(A),
             in_rc=in_chain_variety(A),
-            simple=None if trivial else is_simple(A)[0],
+            simple=None if trivial else simple_from_filters(A),
             si=None if trivial else is_subdirectly_irreducible(A)[0],
         )
 

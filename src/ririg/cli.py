@@ -201,6 +201,13 @@ def _refuse_given(args, reason, *options):
             raise CliError(f"--{option} {reason}")
 
 
+def _congruence_cap(args):
+    """--congruence-cap, or its default when it was not given."""
+    if args.congruence_cap is None:
+        return fl.DEFAULT_CONGRUENCE_CAP
+    return args.congruence_cap
+
+
 def _verdict(reproduced, **report):
     """Exit code and report of a witness replay."""
     report["reproduced"] = reproduced
@@ -252,13 +259,13 @@ def cmd_filters(args):
 
 def cmd_congruences(args):
     A, labels = _load(args.algebra)
-    via_filters = [fl.theta_from_filter(A, F) for F in fl.all_ifilters(A)]
+    via_filters = fl.congruences_of(A)
     report = {
         "count": len(via_filters),
         "congruences": [_partition_text(t, labels) for t in via_filters],
     }
     if args.direct:
-        direct = fl.all_congruences_direct(A, cap=args.congruence_cap)
+        direct = fl.all_congruences_direct(A, cap=_congruence_cap(args))
         report["direct-count"] = len(direct)
         report["agrees"] = sorted(direct) == sorted(via_filters)
         if not report["agrees"]:
@@ -367,8 +374,8 @@ def _compat_routes(A, f, args):
     witnesses = bool(args.witnesses)
     routes = {}
     if route in ("all", "direct"):
-        routes["direct"] = cp.is_compatible_direct(A, f,
-                                                   cap=args.congruence_cap)
+        routes["direct"] = cp.is_compatible_direct(
+            A, f, cap=_congruence_cap(args))
     if route in ("all", "blocks"):
         routes["blocks"] = cp.compat_witness_kary(
             A, f, block_len_bound=args.block_bound,
@@ -424,7 +431,8 @@ def cmd_compatible(args):
                       "random", "arity", "jobs", "seed")
         if args.verify_witness is not None:
             _refuse_given(args, "does not apply with --verify-witness",
-                          "route", "block-bound", "witnesses")
+                          "route", "block-bound", "witnesses",
+                          "congruence-cap")
         f = _load_function(args.fn, A)
         if "tuples" in (_witness_object(args) or {}):
             (a, b), = _read_witness(args, labels, tuples=("tuples", f.arity))
@@ -453,7 +461,7 @@ def cmd_compatible(args):
     jobs = 1 if args.jobs is None else args.jobs
     seed = cp.DEFAULT_SEED if args.seed is None else args.seed
     disagreements = cp.agreement_sweep(A, arity, args.random, seed,
-                                       jobs=jobs, cap=args.congruence_cap)
+                                       jobs=jobs, cap=_congruence_cap(args))
     report = {"seed": seed, "sampled": args.random, "arity": arity,
               "disagreements": [
                   {"table": list(f.table), "direct": d, "blocks": b,
@@ -553,7 +561,10 @@ def cmd_prove(args):
     report["conclusion"] = format_term(proof.conclusion())
     if args.catalog or os.environ.get(ENV_CATALOG):
         algebras = _load_catalog(args)
-        sound = soundness_check(proof, algebras)
+        try:
+            sound = soundness_check(proof, algebras)
+        except ValueError as e:
+            raise CliError(str(e)) from None
         report["soundness"] = {
             "catalog-size": len(algebras),
             "holds": sound,
@@ -621,13 +632,16 @@ def cmd_lddt(args):
     except ParseError as e:
         raise CliError(str(e)) from None
     sig = algebras[0].sig
-    w = lddt_witness(gamma, delta, goal, algebras,
-                     block_len_bound=(2 if args.block_bound is None
-                                      else args.block_bound),
-                     product_bound=args.product_bound,
-                     lambda_mode=args.lambda_mode,
-                     max_exponent=(4 if args.max_exponent is None
-                                   else args.max_exponent))
+    try:
+        w = lddt_witness(gamma, delta, goal, algebras,
+                         block_len_bound=(2 if args.block_bound is None
+                                          else args.block_bound),
+                         product_bound=args.product_bound,
+                         lambda_mode=args.lambda_mode,
+                         max_exponent=(4 if args.max_exponent is None
+                                       else args.max_exponent))
+    except ValueError as e:
+        raise CliError(str(e)) from None
     if w is None:
         return UNDECIDED, {
             "witness": None,
@@ -655,12 +669,13 @@ def cmd_cep(args):
             return _verdict(False)
         sub, elems = fl.induced_subalgebra(A, S)
         theta = fl.normalize_partition(theta)
-        restrictions = {fl.restrict_congruence(xi, elems) for xi in
-                        fl.all_congruences_direct(A, cap=args.congruence_cap)}
+        restrictions = {
+            fl.restrict_congruence(xi, elems)
+            for xi in fl.all_congruences_direct(A, cap=_congruence_cap(args))}
         return _verdict(fl.is_congruence(sub, theta)
                         and theta not in restrictions)
     ok, cex = fl.cep_check(A, cap=args.subuniverse_cap,
-                           congruence_cap=args.congruence_cap)
+                           congruence_cap=_congruence_cap(args))
     if ok:
         return OK, {"cep": True,
                     "subuniverses": len(fl.subuniverses(
@@ -687,7 +702,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            "--subuniverse-cap")
     shared = {witness: dict(metavar="JSON",
                             help="re-check a previously reported witness"),
-              ccap: dict(type=int, default=fl.DEFAULT_CONGRUENCE_CAP),
+              ccap: dict(type=int, default=None,
+                         help="size cap of the partition scan (default "
+                              f"{fl.DEFAULT_CONGRUENCE_CAP})"),
               scap: dict(type=int, default=fl.DEFAULT_SUBUNIVERSE_CAP)}
 
     def add(name, handler, help, *options):

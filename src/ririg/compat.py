@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import Algebra, validate_ririg
-from .filters import ALGEBRA_CACHE_SIZE, DEFAULT_CONGRUENCE_CAP, \
-    _block_items, _lambda_witness, _shortest_product_below, \
-    all_congruences_direct, generate_filter_blocks, generate_filter_lambda
-from .modal import lambda_iter, reachable_values, validate_modal
+from .filters import DEFAULT_CONGRUENCE_CAP, _Context, _block_items, \
+    _blocks, _context as filter_context, _lambda, _lambda_witness, _mask, \
+    _shortest_product_below, all_congruences_direct
+from .modal import lambda_iter, validate_modal
 
 DEFAULT_SEED = 0x161
 
@@ -145,44 +144,30 @@ def check_modal_ririg(A: Algebra) -> None:
                          f"{list(witness)}")
 
 
-@dataclass(frozen=True)
-class _Context:
-    """Per-algebra tables: star[a][b]; for each element c the filter it
-    generates by the block route and by the contraction route, as sets and
-    as bitmasks; and, filled per arity k on first use, `products[k]`, the
-    slot-star products of all pairs of k-tuples, flat and row-major, so
-    that entry a*n**k + b is the product of star(a_i, b_i) over the slots
-    (tuples indexed as base-n numerals, last slot least significant)."""
-
-    star: tuple[tuple[int, ...], ...]
-    blocks: tuple[frozenset[int], ...]
-    lam: tuple[frozenset[int], ...]
-    block_masks: tuple[int, ...]
-    lam_masks: tuple[int, ...]
-    products: dict = field(compare=False)
-
-
-def _mask(S) -> int:
-    return sum(1 << x for x in S)
-
-
-@lru_cache(maxsize=ALGEBRA_CACHE_SIZE)
 def _context(A: Algebra) -> _Context:
-    check_modal_ririg(A)
-    n = A.size
-    blocks = tuple(generate_filter_blocks(A, (c,), None, None)
-                   for c in range(n))
-    lam = tuple(generate_filter_lambda(A, {c}) for c in range(n))
-    return _Context(
-        tuple(tuple(A.star(a, b) for b in range(n)) for a in range(n)),
-        blocks, lam, tuple(map(_mask, blocks)), tuple(map(_mask, lam)),
-        {0: (A.one,)})
+    """The per-algebra context of filters, with this module's tables
+    filled in on first use: for each element c, the mask of the filter it
+    generates by the block route and by the contraction route, and, per
+    arity k, `slot_products[k]`, the slot-star products of all pairs of
+    k-tuples, flat and row-major, so that entry a*n**k + b is the product
+    of star(a_i, b_i) over the slots (tuples indexed as base-n numerals,
+    last slot least significant).  Refuses, before any use, an algebra
+    that is not an I-modal ririg."""
+    ctx = filter_context(A)
+    if ctx.block_masks is None:
+        check_modal_ririg(A)
+        elements = range(A.size)
+        ctx.lam_masks = tuple(_lambda(ctx, 1 << c) for c in elements)
+        ctx.block_masks = tuple(_blocks(ctx, 1 << c, None, None)
+                                for c in elements)
+        ctx.slot_products[0] = (A.one,)
+    return ctx
 
 
 def _slot_products(A: Algebra, ctx: _Context, k: int):
-    """ctx.products[k], built from the table of arity k - 1 by one more
-    slot, multiplied on the right as the slots are read left to right."""
-    table = ctx.products.get(k)
+    """ctx.slot_products[k], built from the table of arity k - 1 by one
+    more slot, multiplied on the right as the slots are read left to right."""
+    table = ctx.slot_products.get(k)
     if table is None:
         prev = _slot_products(A, ctx, k - 1)
         width = A.size ** (k - 1)
@@ -193,7 +178,8 @@ def _slot_products(A: Algebra, ctx: _Context, k: int):
                 for p in row:
                     out.extend(map(A.prod[p].__getitem__, srow))
         # one byte an entry while the elements fit in one
-        table = ctx.products[k] = bytes(out) if A.size <= 256 else tuple(out)
+        table = ctx.slot_products[k] = (bytes(out) if A.size <= 256
+                                        else tuple(out))
     return table
 
 
@@ -257,12 +243,12 @@ def _bounded_failure(A: Algebra, ctx: _Context, f: FiniteFunction,
     for a, b, cs, target in _star_pairs(A, ctx.star, f):
         # a truncated closure is not the generated filter, so it is taken
         # of the slot stars themselves rather than their product
-        key = frozenset(cs)
+        key = _mask(cs)
         if key not in filters:
-            filters[key] = generate_filter_blocks(A, key, bound, None)
-        if target not in filters[key]:
-            saturated = all(reachable_values(A, c, bound)
-                            == reachable_values(A, c) for c in key)
+            filters[key] = _blocks(ctx, key, bound, None)
+        if not filters[key] >> target & 1:
+            saturated = all(len(ctx.reach[c]) - 1 <= max(bound, 0)
+                            for c in cs)
             return CompatReport(False if saturated else None,
                                 failing=((a, b),))
     return None

@@ -10,6 +10,7 @@ ririg has the empty signature.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -131,6 +132,20 @@ class Algebra:
         fields.update(self.__dict__)
         fields["sig"] = sig
         fields["modal_tables"] = tables
+        return out
+
+    def __deepcopy__(self, memo) -> "Algebra":
+        """A new algebra sharing this one's tables, which are tuples of
+        ints and so immutable, with a deep copy of its signature: the
+        object graph a stock deep copy builds, without walking every
+        row.  The fields are set one by one, in order, as the constructor
+        sets them, which keeps attribute reads on the copy as fast as on
+        the original."""
+        out = object.__new__(type(self))
+        memo[id(self)] = out
+        sig = copy.deepcopy(self.sig, memo)
+        for name, value in self.__dict__.items():
+            object.__setattr__(out, name, sig if name == "sig" else value)
         return out
 
     def leq(self, a: int, b: int) -> bool:

@@ -1,19 +1,36 @@
 """Filters of modal ririgs, their generation, and the congruence side.
 
 A filter is a nonempty up-set closed under the product and under every
-modal table; filters are kept as frozensets of element indices.  A
-congruence is kept as a length-n tuple assigning to each element the least
-member of its class, so equal partitions compare equal structurally.
+modal table.  Inside this module a subset of the universe is an int
+bitmask, bit x standing for element x; the public functions take subsets
+as iterables of element indices and return frozensets, decoded once on the
+way out.  A congruence is kept as a length-n tuple assigning to each
+element the least member of its class, so equal partitions compare equal
+structurally.
 
 Each generation route has its one implementation here (generate_filter,
 generate_filter_blocks, generate_filter_lambda), as has the shortest-product
 witness search (_shortest_product_below) that is_simple and compat share.
+
+One cache, `_context`, keeps each algebra's tables: the up-set mask of
+each element, the values blocks reach at each element by block length,
+the block route's product closures, the principal filters Fg({c}) of the
+closure route with the congruences theta_F of the distinct ones, the
+partition scan once run, and the tables compat fills in.  In a finite
+integral algebra a filter F is Fg({p}) for p the product of its members
+(p lies in F, and p <= x for each x in F), so the principal filters are
+all the filters and their theta_F all the congruences: congruences_of,
+the simplicity and subdirect irreducibility tests, the subalgebras of
+cep_check and terms.fg_intersection_check read that table.  The block
+and contraction routes never read it; they share only the up-set masks
+with it.  all_ifilters (every subset) and all_congruences_direct (every
+partition) stay exhaustive oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .core import Algebra
 from .modal import Block, lambda_op, reachable_values
@@ -23,7 +40,7 @@ Partition = tuple[int, ...]
 
 DEFAULT_CONGRUENCE_CAP = 5
 DEFAULT_SUBUNIVERSE_CAP = 6
-# algebras kept by each per-algebra cache
+# algebras kept by the per-algebra cache
 ALGEBRA_CACHE_SIZE = 64
 
 
@@ -35,65 +52,263 @@ class CapError(ValueError):
         return self.args[0]
 
 
-def up_set(A: Algebra, xs) -> Subset:
-    return frozenset(y for y in range(A.size)
-                     if any(A.leq(x, y) for x in xs))
+# ---------------------------------------------------------------------------
+# bitmask subsets and the per-algebra context
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The elements of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
-def is_ifilter(A: Algebra, S) -> bool:
-    """Nonempty, upward closed, product closed, closed under each modal."""
-    S = frozenset(S)
+def _mask(xs) -> int:
+    mask = 0
+    for x in xs:
+        mask |= 1 << x
+    return mask
+
+
+def _ordered(masks) -> list[int]:
+    """Masks sorted by (cardinality, sorted members), the order of
+    all_ifilters."""
+    return sorted(masks, key=lambda m: (m.bit_count(), _members(m)))
+
+
+class _PerMask(dict):
+    """mask -> compute(mask), each computed on first use."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, mask):
+        value = self[mask] = self.compute(mask)
+        return value
+
+
+class _Context:
+    """Per-algebra tables, each built on first use.  `members` and `up_of`
+    decode a mask into its elements and its up-set, per mask met;
+    `products` is the block route's memo of product closures per (values
+    mask, bound); the three tables compat fills in after its I-modal check
+    start empty."""
+
+    def __init__(self, A: Algebra):
+        n = A.size
+        self.algebra = A
+        self.full = (1 << n) - 1
+        self.up = up = tuple(_mask(y for y in range(n) if A.join[x][y] == y)
+                             for x in range(n))
+        self.modal_image = tuple(_mask(t[x] for t in A.modal_tables)
+                                 for x in range(n))
+        self.members = members = _PerMask(_members)
+
+        def up_of(mask):
+            out = 0
+            for x in members[mask]:
+                out |= up[x]
+            return out
+        self.up_of = _PerMask(up_of)
+        self.products: dict[tuple[int, int | None], int] = {}
+        self.block_masks: tuple[int, ...] | None = None
+        self.lam_masks: tuple[int, ...] | None = None
+        self.slot_products: dict = {}
+
+    @cached_property
+    def star(self) -> tuple[tuple[int, ...], ...]:
+        A = self.algebra
+        return tuple(tuple(A.star(a, b) for b in range(A.size))
+                     for a in range(A.size))
+
+    @cached_property
+    def reach(self) -> tuple[tuple[int, ...], ...]:
+        """Per element x, the masks of the values blocks of length at most
+        t take at x, for t = 0, 1, ... up to the length past which no new
+        value appears; the last mask holds every reachable value."""
+        tables = self.algebra.modal_tables
+        out = []
+        for x in range(self.algebra.size):
+            seen = 1 << x
+            masks = [seen]
+            frontier = [x]
+            while frontier:
+                nxt = []
+                for v in frontier:
+                    for t in tables:
+                        w = t[v]
+                        if not seen >> w & 1:
+                            seen |= 1 << w
+                            nxt.append(w)
+                if nxt:
+                    masks.append(seen)
+                frontier = nxt
+            out.append(tuple(masks))
+        return tuple(out)
+
+    @cached_property
+    def lam_step(self) -> tuple[int, ...]:
+        A = self.algebra
+        return tuple(lambda_op(A, x) for x in range(A.size))
+
+    @cached_property
+    def principal(self) -> tuple[int, ...]:
+        """Fg({c}) for each element c, by the closure route."""
+        return tuple(_closure(self, 1 << c)
+                     for c in range(self.algebra.size))
+
+    @cached_property
+    def congruences(self) -> tuple[Partition, ...]:
+        """theta_F of the distinct principal filters, in the order of
+        all_ifilters."""
+        return _thetas(self, _ordered(set(self.principal)),
+                       range(self.algebra.size))
+
+    @cached_property
+    def scanned(self) -> tuple[Partition, ...]:
+        """The partitions that are congruences, in partition order."""
+        A = self.algebra
+        return tuple(p for p in partitions(A.size) if is_congruence(A, p))
+
+
+@lru_cache(maxsize=ALGEBRA_CACHE_SIZE)
+def _context(A: Algebra) -> _Context:
+    return _Context(A)
+
+
+def _subset(ctx: _Context, mask: int) -> Subset:
+    return frozenset(ctx.members[mask])
+
+
+def _is_filter(ctx: _Context, S: int) -> bool:
     if not S:
         return False
-    for x in S:
-        for y in range(A.size):
-            if A.leq(x, y) and y not in S:
-                return False
-        for y in S:
-            if A.prod[x][y] not in S:
-                return False
-        for t in A.modal_tables:
-            if t[x] not in S:
+    prod = ctx.algebra.prod
+    xs = ctx.members[S]
+    for x in xs:
+        if (ctx.up[x] | ctx.modal_image[x]) & ~S:
+            return False
+    for x in xs:
+        row = prod[x]
+        for y in xs:
+            if not S >> row[y] & 1:
                 return False
     return True
 
 
-def generate_filter(A: Algebra, X) -> Subset:
-    """Least filter containing X, by closure fixpoint."""
-    S = set(X)
-    S.add(A.one)
-    while True:
-        new = set()
-        for x in S:
-            for y in range(A.size):
-                if A.leq(x, y) and y not in S:
-                    new.add(y)
-            for y in S:
-                p = A.prod[x][y]
-                if p not in S:
-                    new.add(p)
-            for t in A.modal_tables:
-                if t[x] not in S:
-                    new.add(t[x])
-        if not new:
-            return frozenset(S)
-        S |= new
+def _closure(ctx: _Context, S: int, within: int = -1) -> int:
+    """Least filter containing the mask S, by closure fixpoint; with
+    `within` the mask of a subuniverse, the least filter of that
+    subalgebra.  Each element is closed once, under the up-set, the
+    modals and its products with every element closed before it."""
+    A = ctx.algebra
+    prod, up, image, members = A.prod, ctx.up, ctx.modal_image, ctx.members
+    S |= 1 << A.one
+    todo = list(members[S])
+    done = []
+    while todo:
+        x = todo.pop()
+        row = prod[x]
+        new = up[x] & within | image[x] | 1 << row[x]
+        for y in done:
+            new |= 1 << row[y] | 1 << prod[y][x]
+        done.append(x)
+        new &= ~S
+        if new:
+            S |= new
+            todo += members[new]
+    return S
 
 
-def _products_up_to(A: Algebra, values, count: int | None = None
-                    ) -> set[int]:
-    """All products of at most `count` factors drawn from `values`
-    (with repetition), of any number when count is None; the empty
-    product is 1."""
-    prod = A.prod
-    acc = {A.one}
-    frontier = {A.one}
+def _products_up_to(ctx: _Context, values: int, count: int | None = None
+                    ) -> int:
+    """The mask of all products of at most `count` factors drawn from the
+    mask `values` (with repetition), of any number when count is None; the
+    empty product is 1."""
+    prod, members = ctx.algebra.prod, ctx.members
+    vs = members[values]
+    acc = frontier = 1 << ctx.algebra.one
     rounds = 0
     while frontier and (count is None or rounds < count):
         rounds += 1
-        frontier = {prod[p][v] for p in frontier for v in values} - acc
+        new = 0
+        for p in members[frontier]:
+            row = prod[p]
+            for v in vs:
+                new |= 1 << row[v]
+        frontier = new & ~acc
         acc |= frontier
     return acc
+
+
+def _blocks(ctx: _Context, X: int, block_len_bound: int | None,
+            product_len_bound: int | None) -> int:
+    """generate_filter_blocks on masks, the product closure memoized in
+    the context per (values, bound)."""
+    reach = ctx.reach
+    values = 0
+    if block_len_bound is None:
+        for x in ctx.members[X]:
+            values |= reach[x][-1]
+    else:
+        bound = max(block_len_bound, 0)
+        for x in ctx.members[X]:
+            masks = reach[x]
+            values |= masks[bound] if bound < len(masks) else masks[-1]
+    key = values, product_len_bound
+    products = ctx.products.get(key)
+    if products is None:
+        products = ctx.products[key] = _products_up_to(
+            ctx, values, product_len_bound)
+    return ctx.up_of[products]
+
+
+def _blocks_stabilized(ctx: _Context, X: int) -> int:
+    prev = _blocks(ctx, X, 0, 0)
+    t = 1
+    while True:
+        cur = _blocks(ctx, X, t, t)
+        if cur == prev:
+            return cur
+        prev = cur
+        t += 1
+
+
+def _lambda(ctx: _Context, X: int) -> int:
+    step = ctx.lam_step
+    out = 0
+    level = list(ctx.members[X])
+    while True:
+        out |= _products_up_to(ctx, _mask(level))
+        nxt = [step[v] for v in level]
+        if nxt == level:
+            break
+        level = nxt
+    return ctx.up_of[out]
+
+
+# ---------------------------------------------------------------------------
+# filters
+
+def up_set(A: Algebra, xs) -> Subset:
+    ctx = _context(A)
+    return _subset(ctx, ctx.up_of[_mask(xs)])
+
+
+def is_ifilter(A: Algebra, S) -> bool:
+    """Nonempty, upward closed, product closed, closed under each modal."""
+    return _is_filter(_context(A), _mask(S))
+
+
+def generate_filter(A: Algebra, X) -> Subset:
+    """Least filter containing X, by closure fixpoint."""
+    ctx = _context(A)
+    return _subset(ctx, _closure(ctx, _mask(X)))
 
 
 def generate_filter_blocks(A: Algebra, X, block_len_bound: int | None,
@@ -102,47 +317,37 @@ def generate_filter_blocks(A: Algebra, X, block_len_bound: int | None,
     products of at most product_len_bound block applications, each block of
     length at most block_len_bound, None being no bound.  Monotone in both
     bounds; with neither, the generated filter of an I-modal ririg."""
-    values = {v for x in X for v in reachable_values(A, x, block_len_bound)}
-    return up_set(A, _products_up_to(A, values, product_len_bound))
+    ctx = _context(A)
+    return _subset(ctx, _blocks(ctx, _mask(X), block_len_bound,
+                                product_len_bound))
 
 
 def generate_filter_blocks_stabilized(A: Algebra, X) -> Subset:
     """Raise both bounds together until two consecutive rounds agree."""
-    prev = generate_filter_blocks(A, X, 0, 0)
-    t = 1
-    while True:
-        cur = generate_filter_blocks(A, X, t, t)
-        if cur == prev:
-            return cur
-        prev = cur
-        t += 1
+    ctx = _context(A)
+    return _subset(ctx, _blocks_stabilized(ctx, _mask(X)))
 
 
 def generate_filter_lambda(A: Algebra, X) -> Subset:
     """Generated filter via the single contraction operator: the up-set of
     all products of iterates sharing one exponent, exponents taken up to
     pointwise stabilization."""
-    out = set()
-    level = list(X)
-    while True:
-        out |= _products_up_to(A, level)
-        nxt = [lambda_op(A, v) for v in level]
-        if nxt == level:
-            break
-        level = nxt
-    return up_set(A, out)
+    ctx = _context(A)
+    return _subset(ctx, _lambda(ctx, _mask(X)))
 
 
 def all_ifilters(A: Algebra) -> list[Subset]:
-    """Every filter, sorted by (cardinality, sorted members)."""
-    n = A.size
-    out = []
-    for mask in range(1, 1 << n):
-        S = frozenset(i for i in range(n) if mask >> i & 1)
-        if is_ifilter(A, S):
-            out.append(S)
-    out.sort(key=lambda S: (len(S), sorted(S)))
-    return out
+    """Every filter, sorted by (cardinality, sorted members): the
+    exhaustive scan over all subsets."""
+    ctx = _context(A)
+    return [_subset(ctx, S) for S in _ordered(
+        S for S in range(1, ctx.full + 1) if _is_filter(ctx, S))]
+
+
+def congruences_of(A: Algebra) -> list[Partition]:
+    """Every congruence of an I-modal ririg: theta_F of each distinct
+    principal filter F, in the order of all_ifilters."""
+    return list(_context(A).congruences)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +362,8 @@ def normalize_partition(class_of) -> Partition:
     return tuple(rep[c] for c in class_of)
 
 
-def partitions(n: int):
+@lru_cache(maxsize=8)
+def partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of range(n) as normalized class tuples, via
     restricted-growth strings."""
     def rec(prefix, maxc):
@@ -167,9 +373,8 @@ def partitions(n: int):
         for c in range(maxc + 2):
             yield from rec(prefix + [c], max(maxc, c))
     if n == 0:
-        yield ()
-        return
-    yield from rec([0], 0)
+        return ((),)
+    return tuple(rec([0], 0))
 
 
 def is_congruence(A: Algebra, part: Partition) -> bool:
@@ -194,18 +399,18 @@ def is_congruence(A: Algebra, part: Partition) -> bool:
     return True
 
 
-@lru_cache(maxsize=ALGEBRA_CACHE_SIZE)
-def _congruences_cached(A: Algebra) -> tuple[Partition, ...]:
-    return tuple(p for p in partitions(A.size) if is_congruence(A, p))
+def _scanned(ctx: _Context, cap: int) -> tuple[Partition, ...]:
+    size = ctx.algebra.size
+    if size > cap:
+        raise CapError(f"size {size} exceeds congruence oracle cap {cap}",
+                       "congruence")
+    return ctx.scanned
 
 
 def all_congruences_direct(A: Algebra, cap: int = DEFAULT_CONGRUENCE_CAP
                            ) -> list[Partition]:
     """Brute-force enumeration over all partitions of the universe."""
-    if A.size > cap:
-        raise CapError(f"size {A.size} exceeds congruence oracle cap {cap}",
-                       "congruence")
-    return list(_congruences_cached(A))
+    return list(_scanned(_context(A), cap))
 
 
 def _union_find(n: int):
@@ -229,20 +434,34 @@ def _union_find(n: int):
     return find, union
 
 
+def _thetas(ctx: _Context, filters, elems) -> tuple[Partition, ...]:
+    """theta_F for each filter mask F, on the sorted elements `elems` of a
+    subuniverse, in the subalgebra's indices: x ~ y iff star(x, y) in F.
+    star-membership is an equivalence for genuine filters; the union-find
+    pass keeps each partition well formed regardless, and its roots are
+    the least members of their classes, so the partition is normalized."""
+    star = ctx.star
+    elems = list(elems)
+    m = len(elems)
+    out = []
+    for F in filters:
+        find, union = _union_find(m)
+        for i, x in enumerate(elems):
+            row = star[x]
+            for j in range(i + 1, m):
+                if F >> row[elems[j]] & 1:
+                    union(i, j)
+        out.append(tuple(find(i) for i in range(m)))
+    return tuple(out)
+
+
 def theta_from_filter(A: Algebra, F) -> Partition:
     """Congruence x ~ y iff star(x, y) in F."""
-    F = frozenset(F)
-    if not is_ifilter(A, F):
+    ctx = _context(A)
+    F = _mask(F)
+    if not _is_filter(ctx, F):
         raise ValueError("not a filter")
-    n = A.size
-    # star-membership is an equivalence for genuine filters; the union-find
-    # pass keeps the partition well formed regardless.
-    find, union = _union_find(n)
-    for x in range(n):
-        for y in range(x + 1, n):
-            if A.star(x, y) in F:
-                union(x, y)
-    return normalize_partition(tuple(find(i) for i in range(n)))
+    return _thetas(ctx, (F,), range(A.size))[0]
 
 
 def filter_from_theta(A: Algebra, theta) -> Subset:
@@ -388,48 +607,69 @@ def is_simple(A: Algebra):
     return True, witnesses
 
 
+def simple_from_filters(A: Algebra) -> bool:
+    """is_simple's decision without its witnesses, read from the principal
+    filters: every element other than 1 generates the whole algebra."""
+    if A.size < 2:
+        raise ValueError("simplicity is undefined for the trivial algebra")
+    ctx = _context(A)
+    return all(F == ctx.full for a, F in enumerate(ctx.principal)
+               if a != A.one)
+
+
 def is_subdirectly_irreducible(A: Algebra):
     """(decision, witness): true iff some b != 1 lies in the generated
-    filter of every non-unit element; returns a maximal such b."""
+    filter of every non-unit element, read from the principal filters;
+    returns a maximal such b."""
     if A.size < 2:
         raise ValueError("subdirect irreducibility is undefined for the "
                          "trivial algebra")
-    common = frozenset(range(A.size))
-    for a in range(A.size):
+    ctx = _context(A)
+    common = ctx.full
+    for a, F in enumerate(ctx.principal):
         if a != A.one:
-            common &= generate_filter(A, {a})
-    candidates = [b for b in sorted(common) if b != A.one]
+            common &= F
+    candidates = [b for b in ctx.members[common] if b != A.one]
     if not candidates:
         return False, None
     maximal = [b for b in candidates
-               if not any(c != b and A.leq(b, c) for c in candidates)]
+               if not any(c != b and ctx.up[b] >> c & 1
+                          for c in candidates)]
     return True, maximal[0]
 
 
 # ---------------------------------------------------------------------------
 # subuniverses and congruence extension
 
-def subuniverses(A: Algebra, cap: int = DEFAULT_SUBUNIVERSE_CAP
-                 ) -> list[Subset]:
-    """All subsets containing 0 and 1 closed under every operation."""
+def _subuniverses(ctx: _Context, cap: int) -> list[int]:
+    """Masks of all subsets containing 0 and 1 closed under every
+    operation, sorted like all_ifilters."""
+    A = ctx.algebra
     n = A.size
     if n > cap:
         raise CapError(f"size {n} exceeds subuniverse scan cap {cap}",
                        "subuniverse")
+    # the values of join, prod and imp at (x, y), as one mask
+    values = [[1 << A.join[x][y] | 1 << A.prod[x][y] | 1 << A.imp[x][y]
+               for y in range(n)] for x in range(n)]
+    bounds = 1 << A.zero | 1 << A.one
     out = []
     for mask in range(1 << n):
-        if not (mask >> A.zero & 1 and mask >> A.one & 1):
+        if mask & bounds != bounds:
             continue
-        S = [i for i in range(n) if mask >> i & 1]
-        inside = lambda x: mask >> x & 1
-        ok = all(inside(A.join[x][y]) and inside(A.prod[x][y])
-                 and inside(A.imp[x][y])
-                 for x in S for y in S)
-        ok = ok and all(inside(t[x]) for x in S for t in A.modal_tables)
-        if ok:
-            out.append(frozenset(S))
-    out.sort(key=lambda S: (len(S), sorted(S)))
-    return out
+        outside = ~mask
+        S = ctx.members[mask]
+        if not any(ctx.modal_image[x] & outside
+                   or any(values[x][y] & outside for y in S) for x in S):
+            out.append(mask)
+    return _ordered(out)
+
+
+def subuniverses(A: Algebra, cap: int = DEFAULT_SUBUNIVERSE_CAP
+                 ) -> list[Subset]:
+    """All subsets containing 0 and 1 closed under every operation."""
+    ctx = _context(A)
+    return [_subset(ctx, S) for S in _subuniverses(ctx, cap)]
 
 
 def induced_subalgebra(A: Algebra, S) -> tuple[Algebra, list[int]]:
@@ -456,13 +696,19 @@ def cep_check(A: Algebra, cap: int = DEFAULT_SUBUNIVERSE_CAP,
               congruence_cap: int = DEFAULT_CONGRUENCE_CAP):
     """Verify every congruence of every subalgebra extends to the whole
     algebra.  Returns (True, None) or (False, (subuniverse, congruence))
-    naming the unextendable pair; a False is a bug certificate."""
-    parent_congruences = all_congruences_direct(A, cap=congruence_cap)
-    for S in subuniverses(A, cap=cap):
-        sub, elems = induced_subalgebra(A, S)
+    naming the unextendable pair; a False is a bug certificate.
+
+    The whole algebra's congruences come from the partition scan, each
+    subalgebra's from its principal filters, built by the closure route
+    inside the subuniverse."""
+    ctx = _context(A)
+    parent_congruences = _scanned(ctx, congruence_cap)
+    for S in _subuniverses(ctx, cap):
+        elems = ctx.members[S]
         restrictions = {restrict_congruence(xi, elems)
                         for xi in parent_congruences}
-        for theta in all_congruences_direct(sub, cap=congruence_cap):
+        filters = _ordered({_closure(ctx, 1 << c, S) for c in elems})
+        for theta in _thetas(ctx, filters, elems):
             if theta not in restrictions:
-                return False, (S, theta)
+                return False, (_subset(ctx, S), theta)
     return True, None

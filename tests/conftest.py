@@ -1,5 +1,6 @@
 import itertools
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +10,7 @@ from ririg.filters import _block_items, _lambda_witness, \
     _shortest_product_below, generate_filter_blocks
 from ririg.fixtures import b2, b2_pair, b2_pair_with_identity, g3, g3_delta, \
     g3_id, luk3
-from ririg.modal import reachable_values
+from ririg.modal import lambda_op, reachable_values
 from ririg.terms import Const, Imp, Join, ModalApp, Prod, Var, eval_term, \
     valuations, variables_of
 
@@ -57,9 +58,9 @@ def _pairwise_compat(A, f, route, block_len_bound=None,
     witnesses = {} if with_witnesses else None
     for a, b, cs, p, target in _star_pairs(A, ctx.star, f):
         if route == "lambda":
-            ok = target in ctx.lam[p]
+            ok = ctx.lam_masks[p] >> target & 1
         elif block_len_bound is None:
-            ok = target in ctx.blocks[p]
+            ok = ctx.block_masks[p] >> target & 1
         else:
             ok = target in generate_filter_blocks(A, cs, block_len_bound,
                                                   None)
@@ -76,6 +77,112 @@ def _pairwise_compat(A, f, route, block_len_bound=None,
                      for v, blk in _block_items(A, c, block_len_bound)]
             witnesses[(a, b)] = _shortest_product_below(A, items, target)
     return CompatReport(True, witnesses=witnesses)
+
+
+# The filter routes on sets of elements, one membership test at a time:
+# the oracles of the bitmask routes in ririg.filters.
+
+def _up_set(A, xs):
+    return frozenset(y for y in range(A.size)
+                     if any(A.leq(x, y) for x in xs))
+
+
+def _is_ifilter(A, S):
+    S = frozenset(S)
+    if not S:
+        return False
+    for x in S:
+        for y in range(A.size):
+            if A.leq(x, y) and y not in S:
+                return False
+        for y in S:
+            if A.prod[x][y] not in S:
+                return False
+        for t in A.modal_tables:
+            if t[x] not in S:
+                return False
+    return True
+
+
+def _generate_filter(A, X):
+    S = set(X)
+    S.add(A.one)
+    while True:
+        new = set()
+        for x in S:
+            for y in range(A.size):
+                if A.leq(x, y) and y not in S:
+                    new.add(y)
+            for y in S:
+                p = A.prod[x][y]
+                if p not in S:
+                    new.add(p)
+            for t in A.modal_tables:
+                if t[x] not in S:
+                    new.add(t[x])
+        if not new:
+            return frozenset(S)
+        S |= new
+
+
+def _products_up_to(A, values, count=None):
+    prod = A.prod
+    acc = {A.one}
+    frontier = {A.one}
+    rounds = 0
+    while frontier and (count is None or rounds < count):
+        rounds += 1
+        frontier = {prod[p][v] for p in frontier for v in values} - acc
+        acc |= frontier
+    return acc
+
+
+def _generate_filter_blocks(A, X, block_len_bound, product_len_bound):
+    values = {v for x in X for v in reachable_values(A, x, block_len_bound)}
+    return _up_set(A, _products_up_to(A, values, product_len_bound))
+
+
+def _generate_filter_blocks_stabilized(A, X):
+    prev = _generate_filter_blocks(A, X, 0, 0)
+    t = 1
+    while True:
+        cur = _generate_filter_blocks(A, X, t, t)
+        if cur == prev:
+            return cur
+        prev = cur
+        t += 1
+
+
+def _generate_filter_lambda(A, X):
+    out = set()
+    level = list(X)
+    while True:
+        out |= _products_up_to(A, level)
+        nxt = [lambda_op(A, v) for v in level]
+        if nxt == level:
+            break
+        level = nxt
+    return _up_set(A, out)
+
+
+def _all_ifilters(A):
+    n = A.size
+    out = []
+    for mask in range(1, 1 << n):
+        S = frozenset(i for i in range(n) if mask >> i & 1)
+        if _is_ifilter(A, S):
+            out.append(S)
+    out.sort(key=lambda S: (len(S), sorted(S)))
+    return out
+
+
+SET_ROUTES = SimpleNamespace(
+    up_set=_up_set, is_ifilter=_is_ifilter, generate_filter=_generate_filter,
+    products_up_to=_products_up_to,
+    generate_filter_blocks=_generate_filter_blocks,
+    generate_filter_blocks_stabilized=_generate_filter_blocks_stabilized,
+    generate_filter_lambda=_generate_filter_lambda,
+    all_ifilters=_all_ifilters)
 
 
 def _random_term(rng, depth, nvars, modals=()):
@@ -104,6 +211,12 @@ def scan_countermodel():
 @pytest.fixture(scope="session")
 def pairwise_compat():
     return _pairwise_compat
+
+
+@pytest.fixture(scope="session")
+def set_routes():
+    """The set-based filter routes, oracles of the bitmask ones."""
+    return SET_ROUTES
 
 
 @pytest.fixture(scope="session")

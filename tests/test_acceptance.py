@@ -16,8 +16,8 @@ from ririg.filters import all_congruences_direct, all_ifilters, cep_check, \
     theta_from_filter
 from ririg.logic import MODAL_SCHEMAS, SCHEMAS, _modal_schema_patterns, \
     check_proof, instantiate, lddt_witness, parse_proof, soundness_check
-from ririg.terms import Const, Imp, Join, ModalApp, Prod, Var, \
-    eval_term, in_chain_variety, is_chain, variables_of
+from ririg.terms import Const, Equation, Imp, Join, ModalApp, Prod, \
+    Program, Var, eval_term, in_chain_variety, is_chain, variables_of
 from ririg.catalog import enumerate_ririgs, canonical_form
 
 import pathlib
@@ -249,40 +249,83 @@ def _schema_patterns():
         yield name, _modal_schema_patterns(name, "m1"), True
 
 
-def test_criterion_09_soundness_gate(catalog4):
-    start = time.time()
-    violations = []
+def _soundness_cases(catalog4, draws=1000):
+    """Per schema: its name, the algebras it is checked on, each pattern
+    instantiated with one fresh variable per metavariable, and `draws`
+    seeded draws, each (binding, instances, one valuation per algebra)."""
     modal_catalog = [A for A in catalog4 if A.sig.names]
     metavars = ("phi", "psi", "chi")
     for schema_name, patterns, needs_modal in _schema_patterns():
         rng = random.Random(DEFAULT_SEED
                             ^ zlib.crc32(schema_name.encode()) & 0xffff)
         algebras = modal_catalog if needs_modal else catalog4
-        # complete value-level validity once per algebra
-        for A in algebras:
-            for pattern in patterns:
-                names = sorted({m.name for m in _metas_of(pattern)})
-                formula = instantiate(
-                    pattern,
-                    {nm: Var(100 + i) for i, nm in enumerate(names)})
-                for combo in itertools.product(range(A.size),
-                                               repeat=len(names)):
-                    valuation = {100 + i: v for i, v in enumerate(combo)}
-                    if eval_term(A, valuation, formula) != A.one:
-                        violations.append((schema_name, A, combo))
-        # seeded random instantiations, one valuation per draw per algebra
-        for i in range(1000):
+        fresh = []
+        for pattern in patterns:
+            names = sorted({m.name for m in _metas_of(pattern)})
+            fresh.append(instantiate(
+                pattern, {nm: Var(100 + i) for i, nm in enumerate(names)}))
+        seeded = []
+        for _ in range(draws):
             binding = {nm: _random_formula(rng, 2, needs_modal)
                        for nm in metavars}
             instances = [instantiate(p, binding) for p in patterns]
             variables = set()
             for inst in instances:
                 variables |= variables_of(inst)
+            valuations = [{v: rng.randrange(A.size) for v in variables}
+                          for A in algebras]
+            seeded.append((binding, instances, valuations))
+        yield schema_name, algebras, fresh, seeded
+
+
+def _seeded_values(algebras, seeded, with_bindings=False):
+    """(algebra index, draw index, term, value) for every instance of
+    every seeded draw, and with_bindings every formula of its binding whose
+    variables the valuations cover too, at its algebra's valuation, read
+    from the columns of one program compiled over all the draws.  The
+    columns depend only on the tables the program reads, so algebras that
+    agree on those share them."""
+    terms = [instances + [f for f in binding.values() if with_bindings
+                          and variables_of(f) <= valuations[0].keys()]
+             for binding, instances, valuations in seeded]
+    program = Program([Equation(t, Const(1)) for ts in terms for t in ts],
+                      Equation(Const(1), Const(1)))
+    premises = iter(program.premises)
+    slots = [[next(premises)[0] for _ in ts] for ts in terms]
+    names = sorted(program.modal_names)
+    columns = {}
+    for k, A in enumerate(algebras):
+        key = (A.size, A.join, A.prod, A.imp, A.zero, A.one,
+               tuple(A.modal(name) for name in names))
+        if key not in columns:
+            columns[key] = program._columns(A)
+        cols = columns[key]
+        for d, (_, _, valuations) in enumerate(seeded):
+            # a term does not read a variable its valuation lacks
+            index = 0
+            for v in program.variables:
+                index = index * A.size + valuations[k].get(v, 0)
+            for term, slot in zip(terms[d], slots[d]):
+                yield k, d, term, cols[slot][index]
+
+
+def test_criterion_09_soundness_gate(catalog4):
+    start = time.time()
+    violations = []
+    modal_catalog = [A for A in catalog4 if A.sig.names]
+    for schema_name, algebras, fresh, seeded in _soundness_cases(catalog4):
+        # complete value-level validity once per algebra: every valuation
+        # of each fresh instance, through its compiled program
+        for formula in fresh:
+            program = Program((), Equation(formula, Const(1)))
             for A in algebras:
-                valuation = {v: rng.randrange(A.size) for v in variables}
-                for inst in instances:
-                    if eval_term(A, valuation, inst) != A.one:
-                        violations.append((schema_name, A, binding))
+                countermodel = program.countermodel(A, None)
+                if countermodel is not None:
+                    violations.append((schema_name, A, countermodel))
+        # seeded random instantiations, one valuation per draw per algebra
+        for k, d, _, value in _seeded_values(algebras, seeded):
+            if value != algebras[k].one:
+                violations.append((schema_name, algebras[k], seeded[d][0]))
     # rules preserve the unit, completely and on random draws
     for A in catalog4:
         n, imp, join = A.size, A.imp, A.join
@@ -315,6 +358,26 @@ def test_criterion_09_soundness_gate(catalog4):
                 and ev(Imp(Join(phi, psi), chi)) != A.one:
             violations.append(("vel", A, valuation))
     _finish(9, "soundness gate", start, violations)
+
+
+def test_soundness_program_matches_eval_term(catalog4):
+    # acceptance 09 reads its values from terms.Program; here the same
+    # instances are evaluated by eval_term: the fresh instances on every
+    # valuation, and the first 25 seeded draws of each schema, with the
+    # formulas of their bindings, whose values, unlike those of the
+    # instances, are not all 1
+    for _, algebras, fresh, seeded in _soundness_cases(catalog4, draws=25):
+        for formula in fresh:
+            program = Program((), Equation(formula, Const(1)))
+            for A in algebras:
+                expected = [eval_term(A, dict(zip(program.variables, combo)),
+                                      formula)
+                            for combo in itertools.product(
+                                range(A.size), repeat=len(program.variables))]
+                assert program._columns(A)[program.goal[0]] == expected
+        for k, d, term, value in _seeded_values(algebras, seeded,
+                                                with_bindings=True):
+            assert value == eval_term(algebras[k], seeded[d][2][k], term)
 
 
 def _metas_of(pattern):

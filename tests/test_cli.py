@@ -189,6 +189,18 @@ def test_lddt(capsys):
     assert code == 3
 
 
+def test_modal_outside_catalog_signature_exits_2(capsys):
+    # the proof and the goal name m1, which the plain catalog lacks
+    for argv, message in (
+            (["prove", PROOFS / "nec_example.prf", "--catalog",
+              DATA / "cat2.cat"], "modal names ['m1'] outside"),
+            (["lddt", "--catalog", DATA / "cat2.cat", "--delta", "v0",
+              "--goal", "m1(v0)"], "modal names ['m1'] outside")):
+        assert main([str(a) for a in argv]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+
+
 def test_lddt_lambda_mode(capsys):
     code, report = run_json(capsys, "lddt", "--catalog", DATA / "cat3_m.cat",
                             "--delta", "v0", "--goal", "m1(v0)",
@@ -502,6 +514,8 @@ def test_options_only_where_read(capsys, built):
              replay + ["--block-bound", "0"]),
             ("--witnesses does not apply with --verify-witness",
              replay + ["--witnesses"]),
+            ("--congruence-cap does not apply with --verify-witness",
+             replay + ["--congruence-cap", "0"]),
             ("--block-bound does not apply with --lambda-mode",
              lddt + ["--lambda-mode", "--block-bound", "9"]),
             ("--max-exponent applies only with --lambda-mode",

@@ -126,6 +126,20 @@ def test_with_modals_rejects_what_the_constructor_rejects(tables):
     assert str(expanded.value) == str(built.value)
 
 
+def test_deepcopy_shares_the_tables(catalog4):
+    import copy
+    for A in catalog4:
+        B = copy.deepcopy(A)
+        assert B == A and hash(B) == hash(A) and B is not A
+        for name in ("join", "prod", "imp", "modal_tables"):
+            assert getattr(B, name) is getattr(A, name), name
+        assert B.sig == A.sig and B.sig is not A.sig
+    # one copy per object within one deep copy, as for any object
+    A = catalog4[-1]
+    pair = copy.deepcopy([A, A])
+    assert pair[0] is pair[1] and pair[0] is not A
+
+
 def test_expansion_equals_and_hashes_like_one_call_build(catalog4):
     # the per-algebra lru_caches are keyed on whole algebras
     from ririg.compat import _context

@@ -5,15 +5,16 @@ import pytest
 
 from ririg.catalog import catalog_load
 from ririg.fixtures import b2, luk3
-from ririg.filters import _block_items, _lambda_witness, \
-    _least_lambda_zero, _products_up_to, all_congruences_direct, \
-    all_ifilters, cep_check, congruence_join, filter_from_theta, \
-    generate_filter, generate_filter_blocks, \
-    generate_filter_blocks_stabilized, generate_filter_lambda, \
-    induced_subalgebra, is_ifilter, is_simple, is_subdirectly_irreducible, \
-    partitions, principal_congruence, restrict_congruence, subuniverses, \
+from ririg.filters import _block_items, _context, _lambda_witness, \
+    _least_lambda_zero, all_congruences_direct, all_ifilters, cep_check, \
+    congruence_join, congruences_of, filter_from_theta, generate_filter, \
+    generate_filter_blocks, generate_filter_blocks_stabilized, \
+    generate_filter_lambda, induced_subalgebra, is_ifilter, is_simple, \
+    is_subdirectly_irreducible, partitions, principal_congruence, \
+    restrict_congruence, simple_from_filters, subuniverses, \
     theta_from_filter, up_set
 from ririg.modal import ModalSignature, apply_block, enumerate_blocks
+from ririg.terms import fg_intersection_check, in_chain_variety
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -58,24 +59,120 @@ def test_generate_filter_blocks_bounded(G3D):
     assert generate_filter_blocks(G3D, {2}, 3, 3) == frozenset({2})
 
 
-def words_filter(A, X, block_len_bound, product_len_bound):
-    """Independent oracle for the block route: the up-set of products of at
-    most product_len_bound values M(x), M any word of length at most
-    block_len_bound."""
-    values = {apply_block(A, M, x)
-              for M in enumerate_blocks(A.sig, block_len_bound) for x in X}
-    return up_set(A, _products_up_to(A, values, product_len_bound))
-
-
-def test_block_route_matches_word_oracle(catalog4):
+def test_block_route_matches_word_oracle(catalog4, set_routes):
+    # the up-set of products of at most p values M(x), M any word of
+    # length at most b
     for A in catalog4 + catalog_load(DATA / "cat3_m.cat").algebras():
         for mask in range(1 << A.size):
             X = {i for i in range(A.size) if mask >> i & 1}
             for b, p in itertools.product(range(3), repeat=2):
+                values = {apply_block(A, M, x)
+                          for M in enumerate_blocks(A.sig, b) for x in X}
                 assert generate_filter_blocks(A, X, b, p) \
-                    == words_filter(A, X, b, p), (A, X, b, p)
+                    == set_routes.up_set(
+                        A, set_routes.products_up_to(A, values, p)), \
+                    (A, X, b, p)
             assert generate_filter_blocks(A, X, None, None) \
                 == generate_filter(A, X)
+
+
+def test_bitmask_routes_match_set_routes(catalog4, set_routes):
+    # each public route, on every subset, against its set-based oracle
+    bounds = (0, 1, 2, None)
+    for A in catalog4 + catalog_load(DATA / "cat3_m.cat").algebras():
+        assert all_ifilters(A) == set_routes.all_ifilters(A), A
+        for mask in range(1 << A.size):
+            X = {i for i in range(A.size) if mask >> i & 1}
+            case = A, X
+            assert up_set(A, X) == set_routes.up_set(A, X), case
+            assert is_ifilter(A, X) == set_routes.is_ifilter(A, X), case
+            assert generate_filter(A, X) \
+                == set_routes.generate_filter(A, X), case
+            for b, p in itertools.product(bounds, repeat=2):
+                assert generate_filter_blocks(A, X, b, p) \
+                    == set_routes.generate_filter_blocks(A, X, b, p), \
+                    (A, X, b, p)
+            assert generate_filter_blocks_stabilized(A, X) \
+                == set_routes.generate_filter_blocks_stabilized(A, X), case
+            assert generate_filter_lambda(A, X) \
+                == set_routes.generate_filter_lambda(A, X), case
+
+
+def test_principal_filters_give_every_filter_and_congruence(catalog4):
+    # every filter of a finite integral algebra is Fg({product of its
+    # members}), so the principal filters list them all
+    for A in catalog4 + catalog_load(DATA / "cat3_m.cat").algebras():
+        filters = all_ifilters(A)
+        principal = {frozenset(i for i in range(A.size) if F >> i & 1)
+                     for F in _context(A).principal}
+        assert sorted(principal, key=lambda F: (len(F), sorted(F))) \
+            == filters, A
+        assert congruences_of(A) \
+            == [theta_from_filter(A, F) for F in filters], A
+        assert sorted(congruences_of(A)) \
+            == sorted(all_congruences_direct(A)), A
+
+
+def _scan_filters(A):
+    """The filters as the classes of 1 of the scanned congruences."""
+    return {frozenset(x for x in range(A.size) if th[x] == th[A.one])
+            for th in all_congruences_direct(A)}
+
+
+def _scan_generated(A, filters, X):
+    """The least filter containing X, among the scanned filters."""
+    return frozenset(range(A.size)).intersection(
+        *(F for F in filters if set(X) <= F))
+
+
+def _scan_cep(A):
+    """cep_check with every congruence, of the algebra and of each
+    subalgebra, from the partition scan."""
+    parent = all_congruences_direct(A)
+    for S in subuniverses(A):
+        sub, elems = induced_subalgebra(A, S)
+        restrictions = {restrict_congruence(xi, elems) for xi in parent}
+        for theta in all_congruences_direct(sub):
+            if theta not in restrictions:
+                return False, (S, theta)
+    return True, None
+
+
+def _scan_si(A):
+    """is_subdirectly_irreducible from the scanned filters: the meet of the
+    nontrivial ones, and a maximal element of it other than 1."""
+    common = frozenset(range(A.size)).intersection(
+        *(F for F in _scan_filters(A) if len(F) > 1))
+    candidates = [b for b in sorted(common) if b != A.one]
+    if not candidates:
+        return False, None
+    return True, next(b for b in candidates
+                      if not any(c != b and A.leq(b, c) for c in candidates))
+
+
+def _scan_fg(A):
+    """fg_intersection_check with each Fg from the scanned filters."""
+    filters = _scan_filters(A)
+    fg = [_scan_generated(A, filters, {a}) for a in range(A.size)]
+    for a in range(A.size):
+        for b in range(A.size):
+            if _scan_generated(A, filters, {A.join[a][b]}) != fg[a] & fg[b]:
+                return False, (a, b)
+    return True, None
+
+
+def test_table_readers_match_partition_scans(catalog4):
+    members = 0
+    for A in catalog4 + catalog_load(DATA / "cat3_m.cat").algebras():
+        assert cep_check(A) == _scan_cep(A), A
+        if A.size > 1:
+            assert is_subdirectly_irreducible(A) == _scan_si(A), A
+            assert simple_from_filters(A) \
+                == (len(all_congruences_direct(A)) == 2), A
+        if in_chain_variety(A):
+            members += 1
+            assert fg_intersection_check(A) == _scan_fg(A), A
+    assert members
 
 
 def test_simplicity_witnesses_are_shortest():
