@@ -321,8 +321,18 @@ def _header_fields(header) -> tuple:
     if header.get("version") != CATALOG_VERSION:
         raise ValueError(f"catalog version {header.get('version')} "
                          f"unsupported (want {CATALOG_VERSION})")
-    return (header["max_size"], header["modals"],
-            tuple(header["constraints"]), header["count"])
+    for key in ("max_size", "modals", "count"):
+        value = header[key]
+        if type(value) is not int or value < 0:
+            raise ValueError(f"header {key} {value!r} is not a "
+                             f"non-negative integer")
+    constraints = header["constraints"]
+    if not isinstance(constraints, list) \
+            or not all(c in KNOWN_CONSTRAINTS for c in constraints):
+        raise ValueError(f"header constraints {constraints!r} are not a "
+                         f"list of names from {list(KNOWN_CONSTRAINTS)}")
+    return (header["max_size"], header["modals"], tuple(constraints),
+            header["count"])
 
 
 def _entry_from_record(rec: dict) -> CatalogEntry:

@@ -68,7 +68,7 @@ def _load(path):
 
 def _load_modal_ririg(path):
     """Load an algebra and refuse it unless it is an I-modal ririg, which
-    the compatibility witness routes need."""
+    every answer resting on theta_F or on the filter routes assumes."""
     A, labels = _load(path)
     try:
         cp.check_modal_ririg(A)
@@ -258,7 +258,7 @@ def cmd_filters(args):
 
 
 def cmd_congruences(args):
-    A, labels = _load(args.algebra)
+    A, labels = _load_modal_ririg(args.algebra)
     via_filters = fl.congruences_of(A)
     report = {
         "count": len(via_filters),
@@ -274,7 +274,7 @@ def cmd_congruences(args):
 
 
 def cmd_gen_filter(args):
-    A, labels = _load(args.algebra)
+    A, labels = _load_modal_ririg(args.algebra)
     X = set(_parse_elements(args.set, labels))
     fixpoint = fl.generate_filter(A, X)
     blocks = fl.generate_filter_blocks_stabilized(A, X)
@@ -290,7 +290,7 @@ def cmd_gen_filter(args):
 
 
 def cmd_simple(args):
-    A, labels = _load(args.algebra)
+    A, labels = _load_modal_ririg(args.algebra)
     if A.size < 2:
         raise CliError("the trivial algebra has no simplicity question")
     witness = _read_witness(args, labels, element="element")
@@ -321,7 +321,7 @@ def cmd_simple(args):
 
 
 def cmd_si(args):
-    A, labels = _load(args.algebra)
+    A, labels = _load_modal_ririg(args.algebra)
     if A.size < 2:
         raise CliError("the trivial algebra has no irreducibility question")
     witness = _read_witness(args, labels, elements="elements")
@@ -344,7 +344,7 @@ def cmd_si(args):
 
 
 def cmd_classify(args):
-    A, labels = _load(args.algebra)
+    A, labels = _load_modal_ririg(args.algebra)
     witness = _read_witness(args, labels, pair="pair")
     if witness is not None:
         (a, b), = witness
@@ -659,7 +659,7 @@ def cmd_lddt(args):
 
 
 def cmd_cep(args):
-    A, labels = _load(args.algebra)
+    A, labels = _load_modal_ririg(args.algebra)
     witness = _read_witness(args, labels, subuniverse="elements",
                             congruence="integers")
     if witness is not None:

@@ -17,7 +17,9 @@ bound truncates the closure, and that route still runs pair by pair,
 with its truncated filter kept per set of slot stars.  That rule, and the
 routes themselves, hold only in an I-modal ririg, so both witness routes
 refuse an algebra that fails validate_ririg or validate_modal.  Both
-routes' filters and their shortest-product witness search live in filters.
+routes' filters, their witness search and every per-algebra table, the
+axiom verdict among them, live in filters; this module writes only its
+memo of slot-star products per arity into the filter context.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Algebra, validate_ririg
+from .core import Algebra
 from .filters import DEFAULT_CONGRUENCE_CAP, _Context, _block_items, \
-    _blocks, _context as filter_context, _lambda, _lambda_witness, _mask, \
+    _blocks, _context as filter_context, _lambda_witness, _mask, \
     _shortest_product_below, all_congruences_direct
-from .modal import lambda_iter, validate_modal
+from .modal import lambda_iter
 
 DEFAULT_SEED = 0x161
 
@@ -137,35 +139,25 @@ def is_compatible_direct(A: Algebra, f: FiniteFunction,
 def check_modal_ririg(A: Algebra) -> None:
     """Raise ValueError naming the first failed axiom unless A is an
     I-modal ririg; the witness routes are only exact on those."""
-    failures = validate_ririg(A).failures + validate_modal(A).failures
-    if failures:
-        name, witness = failures[0]
-        raise ValueError(f"not an I-modal ririg: axiom {name!r} fails at "
-                         f"{list(witness)}")
+    _context(A)
 
 
 def _context(A: Algebra) -> _Context:
-    """The per-algebra context of filters, with this module's tables
-    filled in on first use: for each element c, the mask of the filter it
-    generates by the block route and by the contraction route, and, per
-    arity k, `slot_products[k]`, the slot-star products of all pairs of
-    k-tuples, flat and row-major, so that entry a*n**k + b is the product
-    of star(a_i, b_i) over the slots (tuples indexed as base-n numerals,
-    last slot least significant).  Refuses, before any use, an algebra
-    that is not an I-modal ririg."""
+    """The per-algebra context of filters, refused, before any use, for
+    an algebra that is not an I-modal ririg."""
     ctx = filter_context(A)
-    if ctx.block_masks is None:
-        check_modal_ririg(A)
-        elements = range(A.size)
-        ctx.lam_masks = tuple(_lambda(ctx, 1 << c) for c in elements)
-        ctx.block_masks = tuple(_blocks(ctx, 1 << c, None, None)
-                                for c in elements)
-        ctx.slot_products[0] = (A.one,)
+    if ctx.axiom_failures:
+        name, witness = ctx.axiom_failures[0]
+        raise ValueError(f"not an I-modal ririg: axiom {name!r} fails at "
+                         f"{list(witness)}")
     return ctx
 
 
 def _slot_products(A: Algebra, ctx: _Context, k: int):
-    """ctx.slot_products[k], built from the table of arity k - 1 by one
+    """ctx.slot_products[k], the slot-star products of all pairs of
+    k-tuples, flat and row-major: entry a*n**k + b is the product of
+    star(a_i, b_i) over the slots (tuples indexed as base-n numerals, last
+    slot least significant).  Built from the table of arity k - 1 by one
     more slot, multiplied on the right as the slots are read left to right."""
     table = ctx.slot_products.get(k)
     if table is None:

@@ -126,26 +126,26 @@ class Algebra:
         same rule as in the constructor.  The result equals, and hashes
         like, the algebra built in one call from the same fields.
         """
-        tables = _modal_tables(sig, tables, self.size)
-        out = object.__new__(type(self))
-        fields = out.__dict__
-        fields.update(self.__dict__)
-        fields["sig"] = sig
-        fields["modal_tables"] = tables
-        return out
+        return self._copy(sig, _modal_tables(sig, tables, self.size))
 
     def __deepcopy__(self, memo) -> "Algebra":
         """A new algebra sharing this one's tables, which are tuples of
         ints and so immutable, with a deep copy of its signature: the
         object graph a stock deep copy builds, without walking every
-        row.  The fields are set one by one, in order, as the constructor
-        sets them, which keeps attribute reads on the copy as fast as on
-        the original."""
+        row."""
+        return self._copy(copy.deepcopy(self.sig, memo), self.modal_tables)
+
+    def _copy(self, sig: ModalSignature, modal_tables: Table) -> "Algebra":
+        """A new algebra with this one's ririg tables, shared, and the
+        given signature and modal tables.  The fields are set one by one in
+        declaration order, as the constructor sets them, and read through
+        attributes, never through `__dict__`: either keeps attribute reads
+        on this algebra and on the result as fast as on a constructed one."""
+        given = {"sig": sig, "modal_tables": modal_tables}
         out = object.__new__(type(self))
-        memo[id(self)] = out
-        sig = copy.deepcopy(self.sig, memo)
-        for name, value in self.__dict__.items():
-            object.__setattr__(out, name, sig if name == "sig" else value)
+        for name in self.__dataclass_fields__:
+            value = given[name] if name in given else getattr(self, name)
+            object.__setattr__(out, name, value)
         return out
 
     def leq(self, a: int, b: int) -> bool:

@@ -12,11 +12,13 @@ Each generation route has its one implementation here (generate_filter,
 generate_filter_blocks, generate_filter_lambda), as has the shortest-product
 witness search (_shortest_product_below) that is_simple and compat share.
 
-One cache, `_context`, keeps each algebra's tables: the up-set mask of
-each element, the values blocks reach at each element by block length,
-the block route's product closures, the principal filters Fg({c}) of the
-closure route with the congruences theta_F of the distinct ones, the
-partition scan once run, and the tables compat fills in.  In a finite
+One cache, `_context`, holds every per-algebra table, and only this module
+builds them: the up-set masks; the verdict of validate_ririg and
+validate_modal, by which compat refuses an algebra; each element's block
+values with a shortest block each, and their masks by block length; the
+block route's product closures; Fg({c}) by each of the three routes, with
+the theta_F of the distinct principal filters; the partition scan once
+run; and compat's memo of slot-star products per arity.  In a finite
 integral algebra a filter F is Fg({p}) for p the product of its members
 (p lies in F, and p <= x for each x in F), so the principal filters are
 all the filters and their theta_F all the congruences: congruences_of,
@@ -32,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .core import Algebra
-from .modal import Block, lambda_op, reachable_values
+from .core import Algebra, validate_ririg
+from .modal import Block, lambda_op, reachable_values, validate_modal
 
 Subset = frozenset[int]
 Partition = tuple[int, ...]
@@ -96,8 +98,8 @@ class _Context:
     """Per-algebra tables, each built on first use.  `members` and `up_of`
     decode a mask into its elements and its up-set, per mask met;
     `products` is the block route's memo of product closures per (values
-    mask, bound); the three tables compat fills in after its I-modal check
-    start empty."""
+    mask, bound); `slot_products` is compat's memo of slot-star products
+    per arity, seeded with the empty product of arity 0."""
 
     def __init__(self, A: Algebra):
         n = A.size
@@ -116,9 +118,14 @@ class _Context:
             return out
         self.up_of = _PerMask(up_of)
         self.products: dict[tuple[int, int | None], int] = {}
-        self.block_masks: tuple[int, ...] | None = None
-        self.lam_masks: tuple[int, ...] | None = None
-        self.slot_products: dict = {}
+        self.slot_products: dict = {0: (A.one,)}
+
+    @cached_property
+    def axiom_failures(self) -> tuple:
+        """The failures of validate_ririg, then of validate_modal: empty
+        iff the algebra is an I-modal ririg."""
+        A = self.algebra
+        return validate_ririg(A).failures + validate_modal(A).failures
 
     @cached_property
     def star(self) -> tuple[tuple[int, ...], ...]:
@@ -127,27 +134,26 @@ class _Context:
                      for a in range(A.size))
 
     @cached_property
+    def blocks(self) -> tuple[tuple[tuple[int, Block], ...], ...]:
+        """Per element c, (value, shortest block) for each value a block
+        takes at c, ordered by block length, then lexicographically."""
+        A = self.algebra
+        return tuple(tuple(sorted(reachable_values(A, c).items(),
+                                  key=lambda kv: (len(kv[1]), kv[1])))
+                     for c in range(A.size))
+
+    @cached_property
     def reach(self) -> tuple[tuple[int, ...], ...]:
         """Per element x, the masks of the values blocks of length at most
         t take at x, for t = 0, 1, ... up to the length past which no new
         value appears; the last mask holds every reachable value."""
-        tables = self.algebra.modal_tables
         out = []
-        for x in range(self.algebra.size):
-            seen = 1 << x
-            masks = [seen]
-            frontier = [x]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for t in tables:
-                        w = t[v]
-                        if not seen >> w & 1:
-                            seen |= 1 << w
-                            nxt.append(w)
-                if nxt:
-                    masks.append(seen)
-                frontier = nxt
+        for items in self.blocks:
+            masks = [0]
+            for v, block in items:
+                if len(block) == len(masks):
+                    masks.append(masks[-1])
+                masks[-1] |= 1 << v
             out.append(tuple(masks))
         return tuple(out)
 
@@ -155,6 +161,17 @@ class _Context:
     def lam_step(self) -> tuple[int, ...]:
         A = self.algebra
         return tuple(lambda_op(A, x) for x in range(A.size))
+
+    @cached_property
+    def block_masks(self) -> tuple[int, ...]:
+        """Fg({c}) for each element c, by the block route."""
+        return tuple(_blocks(self, 1 << c, None, None)
+                     for c in range(self.algebra.size))
+
+    @cached_property
+    def lam_masks(self) -> tuple[int, ...]:
+        """Fg({c}) for each element c, by the contraction route."""
+        return tuple(_lambda(self, 1 << c) for c in range(self.algebra.size))
 
     @cached_property
     def principal(self) -> tuple[int, ...]:
@@ -519,9 +536,13 @@ class SimplicityWitness:
 
 def _block_items(A: Algebra, c: int, bound: int | None = None):
     """(value, shortest block) for each value a block of length at most
-    `bound` takes at c, ordered by block length, then lexicographically."""
-    return sorted(reachable_values(A, c, bound).items(),
-                  key=lambda kv: (len(kv[1]), kv[1]))
+    `bound` takes at c, ordered by block length, then lexicographically:
+    a prefix of the context's table, a negative bound acting as 0."""
+    ctx = _context(A)
+    masks = ctx.reach[c]
+    if bound is not None:
+        masks = masks[:max(bound, 0) + 1]
+    return ctx.blocks[c][:masks[-1].bit_count()]
 
 
 def _shortest_product_below(A: Algebra, items, target):
@@ -567,27 +588,6 @@ def _lambda_witness(A: Algebra, cs, target):
         l += 1
 
 
-def _least_lambda_zero(A: Algebra, a: int):
-    """Least l such that some power of the l-th iterate of a is 0,
-    with the least such power; None when no l works."""
-    l = 0
-    v = a
-    while True:
-        p, w = 1, v
-        seen = set()
-        while w not in seen:
-            if w == A.zero:
-                return l, p
-            seen.add(w)
-            w = A.prod[w][v]
-            p += 1
-        nxt = lambda_op(A, v)
-        if nxt == v:
-            return None
-        v = nxt
-        l += 1
-
-
 def is_simple(A: Algebra):
     """(decision, witness map): simple iff the filter generated by any
     non-unit element is everything, i.e. each such element admits a product
@@ -601,9 +601,10 @@ def is_simple(A: Algebra):
         blocks = _shortest_product_below(A, _block_items(A, a), A.zero)
         if blocks is None:
             return False, None
-        lam = _least_lambda_zero(A, a)
+        lam = _lambda_witness(A, (a,), A.zero)
         assert lam is not None, "block and lambda characterizations diverged"
-        witnesses[a] = SimplicityWitness(blocks, lam[0], lam[1])
+        l, factors = lam
+        witnesses[a] = SimplicityWitness(blocks, l, len(factors))
     return True, witnesses
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ririg.catalog import Catalog, canonical_form, \
+from ririg.catalog import KNOWN_CONSTRAINTS, Catalog, canonical_form, \
     catalog_build, catalog_load, catalog_loads, catalog_save, \
     enumerate_modal_expansions, enumerate_ririgs
 from ririg.core import Algebra, synthesize_imp, validate_ririg
@@ -292,6 +292,26 @@ def test_catalog_loads_rejects_truncated_file():
     lines = (DATA / "cat3_m.cat").read_text().splitlines()
     with pytest.raises(ValueError, match="count 13 but 12 records"):
         catalog_loads("\n".join(lines[:-1]))
+
+
+def test_catalog_loads_checks_the_header_fields():
+    lines = (DATA / "cat3_m.cat").read_text().splitlines()
+    header = json.loads(lines[0])
+    for key, value, message in (
+            ("count", "13", "header count '13' is not a non-negative"),
+            ("count", -1, "header count -1 is not a non-negative"),
+            ("max_size", "x", "header max_size 'x' is not a non-negative"),
+            ("max_size", 3.0, "header max_size 3.0 is not a non-negative"),
+            ("modals", True, "header modals True is not a non-negative"),
+            ("constraints", "P", "header constraints 'P' are not a list"),
+            ("constraints", ["P", "Q"], r"header constraints \['P', 'Q'\]"),
+            ("constraints", [["P"]], r"header constraints \[\['P'\]\]")):
+        bad = dict(header, **{key: value})
+        with pytest.raises(ValueError, match=f"^line 1: {message}"):
+            catalog_loads("\n".join([json.dumps(bad)] + lines[1:]))
+    good = dict(header, constraints=list(KNOWN_CONSTRAINTS))
+    assert catalog_loads("\n".join([json.dumps(good)] + lines[1:])) \
+        .constraints == KNOWN_CONSTRAINTS
 
 
 def test_catalog_loads_names_the_bad_line():

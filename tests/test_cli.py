@@ -263,6 +263,28 @@ def test_witness_commands_refuse_invalid_algebra(capsys, tmp_path):
         assert "m: m(x->y) <= m(x)->m(y)" in capsys.readouterr().err
 
 
+def test_theta_commands_refuse_a_non_ririg(capsys, tmp_path):
+    """Answers resting on theta_F or on the filter routes assume an
+    I-modal ririg; `check` still reports the broken candidate and
+    `filters` still scans every subset."""
+    doc = json.loads((DATA / "g3.alg").read_text())
+    doc["one"] = 1  # the middle element, not the top
+    bad = tmp_path / "bad.alg"
+    bad.write_text(json.dumps(doc))
+    message = (f"error: {bad}: not an I-modal ririg: axiom 'prod-unit' "
+               f"fails at [2]\n")
+    for argv in (["congruences"], ["congruences", "--direct"], ["si"],
+                 ["simple"], ["classify"], ["gen-filter", "--set", "a"],
+                 ["cep"]):
+        for extra in ([], ["--json"]):
+            assert main([argv[0], str(bad)] + argv[1:] + extra) == 2, argv
+            assert capsys.readouterr().err == message, argv
+    code, report = run_json(capsys, "check", bad)
+    assert code == 1
+    assert report["failures"][0] == {"axiom": "prod-unit", "witness": [2]}
+    assert run(capsys, "filters", bad)[0] == 0
+
+
 def test_entails_bad_catalog_exits_2(tmp_path):
     lines = (DATA / "cat3_m.cat").read_text().splitlines()
     rec = json.loads(lines[2])

@@ -6,7 +6,8 @@ from ririg.catalog import enumerate_ririgs
 from ririg.compat import FiniteFunction, agreement_sweep, \
     all_unary_functions, compat_witness_kary, compat_witness_lambda, \
     is_compatible_direct, laf_representation, random_function, slot_function
-from ririg.filters import _lambda_witness, _shortest_product_below
+from ririg.filters import _lambda_witness, _shortest_product_below, \
+    generate_filter
 from ririg.fixtures import luk3
 from ririg.modal import ModalSignature, apply_block, lambda_iter
 from ririg.terms import eval_term
@@ -154,6 +155,24 @@ def test_witness_routes_refuse_invalid_algebra():
     for route in (compat_witness_kary, compat_witness_lambda):
         with pytest.raises(ValueError, match="m\\(x->y\\)"):
             route(A, f)
+
+
+def test_witness_routes_refuse_invalid_algebra_after_a_filter_call():
+    # the filter context is built by generate_filter first, and each call
+    # of a witness route is refused, not only the first
+    A = enumerate_ririgs(4)[4].with_modals(ModalSignature(("m",)),
+                                           ((2, 0, 1, 3),))
+    assert generate_filter(A, {1}) == frozenset(range(4))
+    f = FiniteFunction(1, (0, 1, 2, 3))
+    message = ("not an I-modal ririg: axiom 'm: m(x->y) <= m(x)->m(y)' "
+               "fails at [0, 1]")
+    calls = (lambda: compat_witness_kary(A, f),
+             lambda: compat_witness_kary(A, f, block_len_bound=1),
+             lambda: compat_witness_lambda(A, f, with_witnesses=False))
+    for call in calls + calls:
+        with pytest.raises(ValueError) as error:
+            call()
+        assert str(error.value) == message
 
 
 def test_agreement_sweep_of_nothing(G3I):

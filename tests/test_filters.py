@@ -3,17 +3,18 @@ from pathlib import Path
 
 import pytest
 
-from ririg.catalog import catalog_load
+from ririg.catalog import catalog_build, catalog_load
+from ririg.core import Algebra
 from ririg.fixtures import b2, luk3
-from ririg.filters import _block_items, _context, _lambda_witness, \
-    _least_lambda_zero, all_congruences_direct, all_ifilters, cep_check, \
-    congruence_join, congruences_of, filter_from_theta, generate_filter, \
-    generate_filter_blocks, generate_filter_blocks_stabilized, \
-    generate_filter_lambda, induced_subalgebra, is_ifilter, is_simple, \
-    is_subdirectly_irreducible, partitions, principal_congruence, \
-    restrict_congruence, simple_from_filters, subuniverses, \
-    theta_from_filter, up_set
-from ririg.modal import ModalSignature, apply_block, enumerate_blocks
+from ririg.filters import _block_items, _context, all_congruences_direct, \
+    all_ifilters, cep_check, congruence_join, congruences_of, \
+    filter_from_theta, generate_filter, generate_filter_blocks, \
+    generate_filter_blocks_stabilized, generate_filter_lambda, \
+    induced_subalgebra, is_ifilter, is_simple, is_subdirectly_irreducible, \
+    partitions, principal_congruence, restrict_congruence, \
+    simple_from_filters, subuniverses, theta_from_filter, up_set
+from ririg.modal import ModalSignature, apply_block, enumerate_blocks, \
+    lambda_op, reachable_values
 from ririg.terms import fg_intersection_check, in_chain_variety
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -175,6 +176,78 @@ def test_table_readers_match_partition_scans(catalog4):
     assert members
 
 
+@pytest.fixture(scope="module")
+def block_algebras(catalog4):
+    """`catalog4`, data/cat3_m.cat and the (4, 2) catalog: one and two
+    modals.  Up to size 4 the shortest blocks of equal length are found
+    in lexicographic order, so a five-element Goedel chain is added whose
+    blocks at 2 are found as eps, m0, m1, m1.m0, m0.m1."""
+    n = 5
+    chain = Algebra.from_join_prod(
+        n, [[max(x, y) for y in range(n)] for x in range(n)],
+        [[min(x, y) for y in range(n)] for x in range(n)], 0, n - 1)
+    chain = chain.with_modals(ModalSignature(("m0", "m1")),
+                              ((0, 1, 1, 4, 4), (0, 0, 3, 3, 4)))
+    return (catalog4 + catalog_load(DATA / "cat3_m.cat").algebras()
+            + catalog_build(4, 2).algebras() + [chain])
+
+
+def test_block_tables_match_every_word(block_algebras):
+    """reach[c][t] and _block_items(A, c, t) against the values of every
+    block word of length at most t: words shorter than the size reach
+    every value, and the masks stop at the length past which none is new."""
+    for A in block_algebras:
+        reach = _context(A).reach
+        for c in range(A.size):
+            masks = reach[c]
+            shortest = {}
+            for t in range(A.size):
+                values = {apply_block(A, M, c)
+                          for M in enumerate_blocks(A.sig, t)}
+                for v in values:
+                    shortest.setdefault(v, t)
+                assert masks[min(t, len(masks) - 1)] \
+                    == sum(1 << v for v in values), (A, c, t)
+                items = _block_items(A, c, t)
+                assert {v for v, _ in items} == values, (A, c, t)
+                assert all(apply_block(A, M, c) == v
+                           and len(M) == shortest[v] for v, M in items)
+                assert list(items) == sorted(
+                    items, key=lambda kv: (len(kv[1]), kv[1]))
+            assert all(a != b for a, b in zip(masks, masks[1:])), (A, c)
+            assert _block_items(A, c) == _block_items(A, c, A.size - 1)
+
+
+def test_block_items_match_reachable_values(block_algebras):
+    for A in block_algebras:
+        for c in range(A.size):
+            for bound in (None, -1, 0, 1, 2):
+                assert list(_block_items(A, c, bound)) == sorted(
+                    reachable_values(A, c, bound).items(),
+                    key=lambda kv: (len(kv[1]), kv[1])), (A, c, bound)
+
+
+def _least_lambda_zero(A, a):
+    """Least l such that some power of the l-th iterate of a is 0, with
+    the least such power; None when no l works."""
+    l = 0
+    v = a
+    while True:
+        p, w = 1, v
+        seen = set()
+        while w not in seen:
+            if w == A.zero:
+                return l, p
+            seen.add(w)
+            w = A.prod[w][v]
+            p += 1
+        nxt = lambda_op(A, v)
+        if nxt == v:
+            return None
+        v = nxt
+        l += 1
+
+
 def test_simplicity_witnesses_are_shortest():
     simple = [A for A in catalog_load(DATA / "cat4_m.cat").algebras()
               if A.size > 1 and is_simple(A)[0]]
@@ -197,8 +270,7 @@ def test_simplicity_witnesses_are_shortest():
                     for v in combo:
                         product = A.prod[product][v]
                     assert product != A.zero, (A, a, combo)
-            l, slots = _lambda_witness(A, [a], A.zero)
-            assert _least_lambda_zero(A, a) == (l, len(slots)) \
+            assert _least_lambda_zero(A, a) \
                 == (w.lam_exponent, w.lam_power)
 
 
