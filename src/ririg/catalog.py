@@ -1,12 +1,31 @@
 """Exhaustive generation of small algebras up to isomorphism, with
 constraint filters and a persisted, greppable catalog format.
 
-Enumeration normalizes the bottom to index 0 and the top to index n-1;
-nothing downstream relies on that, since deduplication goes through the
-permutation-minimal canonical form.  That form starts with the new labels
-of zero and one, so only the relabelings sending zero to 0 and one to 1
-can give the minimum, and only those (n-2)! are tried.  Each form is
-computed once, during deduplication, and stored in the catalog entry.
+The search is constructive, one isomorphism class at a time:
+
+- Lattices of size n are lattices of size n-1 with an atom added (Heitzig
+  and Reinhold, Algebra Universalis 48, 2002), each kept once, in its
+  labelling with bottom 0 and top n-1 whose join table is least, with that
+  table's automorphisms.
+- The product tables on each lattice are filled by backtracking, and of
+  each orbit under the lattice's automorphisms the least one is kept.
+- The modal tables of a base are filled by backtracking, in lexicographic
+  order.
+- Expansions are told apart by their canonical forms, computed from the
+  base's best relabelings; the first of each form is kept.
+
+So each class keeps the representative that the search over every
+labelled table keeps (tests/conftest.py holds that search as the oracle):
+for a base, the relabeling fixing 0 and n-1 that minimizes its join
+table's strict upper triangle, then its product table's upper triangle
+with diagonal; for an expansion, the least tuple of modal tables among its
+conjugates under the base's automorphisms.
+
+The canonical form starts with the new labels of zero and one, so only
+the relabelings sending zero to 0 and one to 1 can give the minimum, and
+only those (n-2)! are tried, once per base class.  An expansion's form
+reuses its base's best relabelings.  The forms are stored in the catalog
+entries, which are sorted by them.
 """
 
 from __future__ import annotations
@@ -14,12 +33,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
-from .core import Algebra, ModalSignature, synthesize_imp, validate_ririg
-from .modal import validate_modal
+from .core import Algebra, ModalSignature, Table, synthesize_imp
 from .terms import in_chain_variety, is_chain, is_contractive, \
-    satisfies_join_subdistribution, satisfies_prelinearity
+    satisfies_prelinearity
 
 DEFAULT_SIZE_CAP = 5
 DEFAULT_MODAL_CAP = 2
@@ -42,15 +61,9 @@ def canonical_form(A: Algebra) -> bytes:
     for ririgs.
     """
     n = A.size
-    fixed = (A.zero,) if A.zero == A.one else (A.zero, A.one)
-    rest = [x for x in range(n) if x not in fixed]
     tables = (A.join, A.prod, A.imp)
     best: Optional[bytes] = None
-    for order in itertools.permutations(rest):
-        inv = fixed + order             # inv[new label] = old element
-        perm = [0] * n
-        for p, x in enumerate(inv):
-            perm[x] = p
+    for perm, inv in _relabelings(*_fixed_and_rest(A)):
         payload = [n, perm[A.zero], perm[A.one], len(A.sig)]
         for table in tables:
             for a in inv:
@@ -64,93 +77,243 @@ def canonical_form(A: Algebra) -> bytes:
     return best
 
 
-def _by_form(algebras) -> list[tuple[bytes, Algebra]]:
-    """One (canonical form, algebra) pair per isomorphism class among
-    `algebras`, keeping the first algebra met, in form order."""
-    seen = {}
-    for A in algebras:
-        seen.setdefault(canonical_form(A), A)
-    return [(form, seen[form]) for form in sorted(seen)]
+def _fixed_and_rest(A: Algebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """zero and one (zero alone when they are equal), and the other
+    elements."""
+    fixed = (A.zero,) if A.zero == A.one else (A.zero, A.one)
+    return fixed, tuple(x for x in range(A.size) if x not in fixed)
 
 
-def _join_tables(n: int):
-    """All bounded join-semilattice tables with bottom 0 and top n-1."""
-    free = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n - 1)]
-    for values in itertools.product(range(n), repeat=len(free)):
-        table = [[0] * n for _ in range(n)]
-        for i in range(n):
-            table[i][i] = i
-            table[0][i] = table[i][0] = i
-            table[n - 1][i] = table[i][n - 1] = n - 1
-        for (i, j), v in zip(free, values):
-            table[i][j] = table[j][i] = v
-        ok = all(table[table[a][b]][c] == table[a][table[b][c]]
-                 for a in range(n) for b in range(n) for c in range(n))
-        if ok:
-            yield tuple(tuple(row) for row in table)
+def _relabelings(first, rest, last=()):
+    """Each relabeling that sends `first` to the first labels and `last` to
+    the last ones, and orders `rest` between them, as (perm, inv):
+    perm[old] = new, inv[new] = old."""
+    n = len(first) + len(rest) + len(last)
+    for order in itertools.permutations(rest):
+        inv = first + order + last
+        perm = [0] * n
+        for new, old in enumerate(inv):
+            perm[old] = new
+        yield perm, inv
 
 
-def _product_tables(n: int, join):
-    """Commutative monoid tables with unit n-1 and annihilator 0 that
-    distribute over the given join and admit every residual."""
-    def below(x):
-        return [v for v in range(n) if join[v][x] == x]
+def _least(relabelings, encode):
+    """The least `encode(perm, inv)` over `relabelings`, and the (perm, inv)
+    pairs attaining it."""
+    best, attaining = None, []
+    for perm, inv in relabelings:
+        code = encode(perm, inv)
+        if best is None or code < best:
+            best, attaining = code, [(perm, inv)]
+        elif code == best:
+            attaining.append((perm, inv))
+    return best, attaining
 
-    free = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
-    # integrality forces x*y below both factors, which prunes hard
-    choices = [sorted(set(below(i)) & set(below(j))) for i, j in free]
-    for values in itertools.product(*choices):
-        table = [[0] * n for _ in range(n)]
-        for i in range(n):
-            table[n - 1][i] = table[i][n - 1] = i
-            table[0][i] = table[i][0] = 0
-        for (i, j), v in zip(free, values):
-            table[i][j] = table[j][i] = v
-        ok = all(table[table[a][b]][c] == table[a][table[b][c]]
-                 for a in range(n) for b in range(n) for c in range(n))
-        ok = ok and all(
-            table[a][join[b][c]] == join[table[a][b]][table[a][c]]
-            for a in range(n) for b in range(n) for c in range(n))
-        if not ok:
-            continue
-        try:
-            imp = synthesize_imp(n, join, tuple(tuple(r) for r in table))
-        except ValueError:
-            continue
-        yield tuple(tuple(row) for row in table), imp
+
+@lru_cache(maxsize=None)
+def _lattices(n: int) -> tuple:
+    """The lattices of size n >= 2 up to isomorphism, as (join, auts)
+    pairs.  `join` is labelled with bottom 0 and top n-1 and, among such
+    labellings, has the least strict upper triangle (the oracle's first
+    join table of the class); `auts` are its automorphisms, as (perm, inv).
+
+    Every lattice of size n >= 3 is one of size n-1 plus an atom: removing
+    an atom a leaves a lattice, as no two other elements join to a."""
+    if n == 2:
+        return ((((0, 1), (1, 1)), [([0, 1], (0, 1))]),)
+    inner = tuple(range(1, n - 1))
+    upper = [(i, j) for i in inner for j in inner if i < j]
+
+    def least(join):
+        return _least(_relabelings((0,), inner, (n - 1,)),
+                      lambda perm, inv: tuple(perm[join[inv[i]][inv[j]]]
+                                              for i, j in upper))
+
+    found = {}
+    for smaller, _ in _lattices(n - 1):
+        for join in _atom_extensions(smaller):
+            key, best = least(join)
+            if key not in found:
+                perm, inv = best[0]
+                found[key] = tuple(tuple(perm[join[a][b]] for b in inv)
+                                   for a in inv)
+    # a least labelling's least relabelings are its automorphisms
+    return tuple((join, least(join)[1]) for _, join in sorted(found.items()))
+
+
+def _atom_extensions(join: Table):
+    """The join tables of the lattices made from the lattice `join` (bottom
+    0, top m-1) by adding an atom below an up-set of its nonzero elements:
+    each such order in which every pair has a least upper bound.  The atom
+    is labelled m-1 and the top moves to m."""
+    m = len(join)
+    top = m - 1
+    leq = [[join[x][y] == y for y in range(m)] for x in range(m)]
+    for mask in range(1 << (m - 2)):
+        up = [x for x in range(1, top) if mask >> (x - 1) & 1] + [top]
+        if all(y in up for x in up for y in range(m) if leq[x][y]):
+            extended = _atom_added(leq, up)
+            if all(None not in row for row in extended):
+                yield extended
+
+
+def _least_of(xs, leq):
+    return next((x for x in xs if all(leq[x][y] for y in xs)), None)
+
+
+def _atom_added(leq, up) -> Table:
+    """The join table of the order `leq` with an atom added below `up`,
+    with None for a pair that has no least upper bound."""
+    m = len(leq)
+    old = list(range(m - 1)) + [m]          # new labels of the old elements
+    le = [[False] * (m + 1) for _ in range(m + 1)]
+    for x in range(m):
+        for y in range(m):
+            le[old[x]][old[y]] = leq[x][y]
+    le[0][m - 1] = le[m - 1][m - 1] = True
+    for y in up:
+        le[m - 1][old[y]] = True
+    return tuple(tuple(_least_of([z for z in range(m + 1)
+                                  if le[x][z] and le[y][z]], le)
+                       for y in range(m + 1)) for x in range(m + 1))
+
+
+def _products(join: Table):
+    """Every commutative product on the lattice `join` (bottom 0, top n-1)
+    with unit n-1 and annihilator 0 that is associative, integral and
+    distributes over join, in lexicographic order of its upper triangle
+    with diagonal.  Filled by backtracking: each cell ranges over the
+    elements below the meet of its indices, and each associativity and
+    distribution instance is checked as soon as the cells it reads are
+    placed."""
+    n = len(join)
+    top = n - 1
+    p = [[None] * n for _ in range(n)]
+    for x in range(n):
+        p[0][x] = p[x][0] = 0
+        p[top][x] = p[x][top] = x
+    joins_to = [[] for _ in range(n)]
+    for b in range(n):
+        for c in range(n):
+            joins_to[join[b][c]].append((b, c))
+    cells = [(i, j) for i in range(1, top) for j in range(i, top)]
+    choices = [[v for v in range(n) if join[v][i] == i and join[v][j] == j]
+               for i, j in cells]
+    everything = range(n)
+
+    def consistent(i, j, v):
+        """The instances whose last placed cell is {i, j} = v.  By
+        commutativity each instance is met as one where {i, j} is a*b, or
+        a*e with e = b v c (distribution), or (x*y)*b with x*y = a
+        (associativity)."""
+        for a, b in ((i, j), (j, i)) if i != j else ((i, j),):
+            for c in everything:
+                x, y = p[a][join[b][c]], p[a][c]
+                if x is not None and y is not None and x != join[v][y]:
+                    return False
+                x, y = p[v][c], p[b][c]
+                if x is not None and y is not None:
+                    y = p[a][y]
+                    if y is not None and x != y:
+                        return False
+            for c, d in joins_to[b]:
+                x, y = p[a][c], p[a][d]
+                if x is not None and y is not None and v != join[x][y]:
+                    return False
+            for x in everything:
+                row = p[x]
+                for y in everything:
+                    if row[y] == a:
+                        z = p[y][b]
+                        if z is not None:
+                            z = row[z]
+                            if z is not None and z != v:
+                                return False
+        return True
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(map(tuple, p))
+            return
+        i, j = cells[k]
+        for v in choices[k]:
+            p[i][j] = p[j][i] = v
+            if consistent(i, j, v):
+                yield from fill(k + 1)
+        p[i][j] = p[j][i] = None
+
+    yield from fill(0)
 
 
 def enumerate_ririgs(n: int, cap: int = DEFAULT_SIZE_CAP) -> list[Algebra]:
-    """All ririgs of size n up to isomorphism, canonical-form order."""
+    """All ririgs of size n up to isomorphism, canonical-form order.  Each
+    is labelled with bottom 0 and top n-1 by the relabeling that minimizes
+    its join table's strict upper triangle, then its product table's upper
+    triangle with diagonal."""
     if n > cap:
         raise ValueError(f"size {n} exceeds enumeration cap {cap}")
     if n < 1:
         raise ValueError("size must be >= 1")
     if n == 1:
         return [Algebra(1, ((0,),), ((0,),), ((0,),), 0, 0)]
+    cells = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
     found = []
-    for join in _join_tables(n):
-        for prod, imp in _product_tables(n, join):
-            A = Algebra(n, join, prod, imp, 0, n - 1)
-            assert validate_ririg(A).passed
-            found.append(A)
-    return [A for _, A in _by_form(found)]
+    for join, auts in _lattices(n):
+        for prod in _products(join):
+            key = [prod[i][j] for i, j in cells]
+            # the least product table of each orbit of the lattice's
+            # automorphisms represents the class
+            if all([perm[prod[inv[i]][inv[j]]] for i, j in cells] >= key
+                   for perm, inv in auts):
+                found.append(Algebra(n, join, prod,
+                                     synthesize_imp(n, join, prod), 0, n - 1))
+    return sorted(found, key=canonical_form)
 
 
 def _valid_modal_tables(A: Algebra, constraints=()):
-    n = A.size
-    sig = ModalSignature(("m1",))
-    for table in itertools.product(range(n), repeat=n):
-        if table[A.one] != A.one:
-            continue
-        M = A.with_modals(sig, (table,))
-        if not validate_modal(M).passed:
-            continue
-        if "contractive" in constraints and not is_contractive(M):
-            continue
-        if "Cm" in constraints and not satisfies_join_subdistribution(M, "m1"):
-            continue
-        yield table
+    """Every table m with m(1) = 1 and m(x->y) <= m(x)->m(y) that also
+    meets the constraints (contractive: m(x) <= x; Cm: m(x v y) <= m(x) v
+    m(y)), in lexicographic order.  Filled by backtracking: m(1) = 1
+    first, then the cells in index order with values ascending; each
+    inequality is checked once the cells it reads are placed."""
+    n, join, imp, one = A.size, A.join, A.imp, A.one
+    order = [one] + [x for x in range(n) if x != one]
+    placed = {x: k for k, x in enumerate(order)}
+    # (c, x, y, w) stands for m(c) <= w(m(x), m(y)), checked when the last
+    # of c, x, y is placed
+    checks = [[] for _ in order]
+    for x in range(n):
+        for y in range(n):
+            c = imp[x][y]
+            checks[max(placed[c], placed[x], placed[y])].append((c, x, y, imp))
+            if "Cm" in constraints:
+                c = join[x][y]
+                checks[max(placed[c], placed[x], placed[y])].append(
+                    (c, x, y, join))
+    values = [[one]] + [
+        [v for v in range(n)
+         if "contractive" not in constraints or join[v][x] == x]
+        for x in order[1:]]
+    t = [0] * n
+
+    def fill(k):
+        if k == n:
+            yield tuple(t)
+            return
+        x = order[k]
+        for v in values[k]:
+            t[x] = v
+            if all(join[t[c]][w[t[a]][t[b]]] == w[t[a]][t[b]]
+                   for c, a, b, w in checks[k]):
+                yield from fill(k + 1)
+
+    yield from fill(0)
+
+
+def _check_constraints(constraints) -> None:
+    unknown = set(constraints) - set(KNOWN_CONSTRAINTS)
+    if unknown:
+        raise ValueError(f"unknown constraints {sorted(unknown)}")
 
 
 def enumerate_modal_expansions(A: Algebra, k: int, constraints=(),
@@ -164,16 +327,37 @@ def enumerate_modal_expansions(A: Algebra, k: int, constraints=(),
 def _expansions_by_form(A: Algebra, k: int, constraints,
                         modal_cap: int) -> list[tuple[bytes, Algebra]]:
     """The expansions of `enumerate_modal_expansions`, each paired with
-    its canonical form, in form order."""
+    its canonical form, in form order.  Each class is represented by its
+    first tuple of tables in lexicographic order, the least of its
+    conjugates under A's automorphisms."""
     if k > modal_cap:
         raise ValueError(f"{k} modal symbols exceed cap {modal_cap}")
-    unknown = set(constraints) - set(KNOWN_CONSTRAINTS)
-    if unknown:
-        raise ValueError(f"unknown constraints {sorted(unknown)}")
+    _check_constraints(constraints)
     sig = ModalSignature(tuple(f"m{i + 1}" for i in range(k)))
+    form_of = _expansion_forms(A, k)
     singles = list(_valid_modal_tables(A, constraints)) if k else []
-    return _by_form(A.with_modals(sig, tables)
-                    for tables in itertools.product(singles, repeat=k))
+    seen = {}
+    for tables in itertools.product(singles, repeat=k):
+        seen.setdefault(form_of(tables), tables)
+    return [(form, A.with_modals(sig, tables))
+            for form, tables in sorted(seen.items())]
+
+
+def _expansion_forms(A: Algebra, k: int):
+    """The function giving `canonical_form` of A expanded by a tuple of k
+    modal tables.  The relabelings that send zero to 0 and one to 1 and
+    minimize A's own payload (the best ones) are a coset of A's
+    automorphisms; the form is that payload followed by the least modal
+    payload over them."""
+    payload, best = _least(
+        _relabelings(*_fixed_and_rest(A)),
+        lambda perm, inv: bytes(perm[table[a][b]]
+                                for table in (A.join, A.prod, A.imp)
+                                for a in inv for b in inv))
+    perm = best[0][0]
+    head = bytes((A.size, perm[A.zero], perm[A.one], k)) + payload
+    return lambda tables: head + min(
+        bytes(perm[t[a]] for t in tables for a in inv) for perm, inv in best)
 
 
 @dataclass(frozen=True)
@@ -221,6 +405,7 @@ def catalog_build(max_size: int, modals: int, constraints=(),
                   size_cap: int = DEFAULT_SIZE_CAP,
                   modal_cap: int = DEFAULT_MODAL_CAP) -> Catalog:
     constraints = tuple(constraints)
+    _check_constraints(constraints)
     entries = []
     for n in range(1, max_size + 1):
         for base in enumerate_ririgs(n, cap=size_cap):

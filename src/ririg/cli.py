@@ -511,6 +511,8 @@ def cmd_laf(args):
 
 
 def cmd_enumerate(args):
+    _require_at_least(args, 1, "max-size", "size-cap")
+    _require_at_least(args, 0, "modals")
     require = tuple(args.require or ())
     try:
         built = cat.catalog_build(args.max_size, args.modals, require,

@@ -104,6 +104,21 @@ class Algebra:
             raise ValueError("zero/one out of range")
         object.__setattr__(self, "modal_tables",
                            _modal_tables(self.sig, self.modal_tables, n))
+        self._set_hash()
+
+    def _set_hash(self) -> None:
+        """Store the hash once: the per-algebra `lru_cache`s look algebras
+        up by it, and hashing every table on each lookup was a measurable
+        share of their time.  Every instance sets it last, after the
+        fields, so all share one attribute layout.  The signature is left
+        out: string hashes differ between processes, and an algebra sent
+        to a worker process keeps its stored hash."""
+        object.__setattr__(self, "_hash", hash(
+            (self.size, self.join, self.prod, self.imp, self.zero, self.one,
+             self.modal_tables)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_join_prod(cls, size, join, prod, zero, one) -> "Algebra":
@@ -138,14 +153,16 @@ class Algebra:
     def _copy(self, sig: ModalSignature, modal_tables: Table) -> "Algebra":
         """A new algebra with this one's ririg tables, shared, and the
         given signature and modal tables.  The fields are set one by one in
-        declaration order, as the constructor sets them, and read through
-        attributes, never through `__dict__`: either keeps attribute reads
-        on this algebra and on the result as fast as on a constructed one."""
+        declaration order, then the hash, as the constructor sets them, and
+        read through attributes, never through `__dict__`: either keeps
+        attribute reads on this algebra and on the result as fast as on a
+        constructed one."""
         given = {"sig": sig, "modal_tables": modal_tables}
         out = object.__new__(type(self))
         for name in self.__dataclass_fields__:
             value = given[name] if name in given else getattr(self, name)
             object.__setattr__(out, name, value)
+        out._set_hash()
         return out
 
     def leq(self, a: int, b: int) -> bool:

@@ -1,18 +1,22 @@
 import itertools
 import pathlib
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
 
-from ririg.catalog import catalog_build, catalog_load
+from ririg.catalog import KNOWN_CONSTRAINTS, canonical_form, catalog_build, \
+    catalog_load
 from ririg.compat import CompatReport, _context
+from ririg.core import Algebra, ModalSignature, synthesize_imp
 from ririg.filters import _block_items, _lambda_witness, \
     _shortest_product_below, generate_filter_blocks
 from ririg.fixtures import b2, b2_pair, b2_pair_with_identity, g3, g3_delta, \
     g3_id, luk3
-from ririg.modal import lambda_op, reachable_values
+from ririg.modal import lambda_op, reachable_values, validate_modal
 from ririg.terms import Const, Imp, Join, ModalApp, Prod, Var, eval_term, \
-    valuations, variables_of
+    is_chain, is_contractive, satisfies_join_subdistribution, \
+    satisfies_prelinearity, valuations, variables_of
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 
@@ -185,6 +189,124 @@ SET_ROUTES = SimpleNamespace(
     all_ifilters=_all_ifilters)
 
 
+# The generate-and-test catalog search, every labelled table built and
+# then checked: the oracles of the constructive search in ririg.catalog.
+
+def _join_tables(n):
+    """All bounded join-semilattice tables with bottom 0 and top n-1."""
+    free = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n - 1)]
+    for values in itertools.product(range(n), repeat=len(free)):
+        table = [[0] * n for _ in range(n)]
+        for i in range(n):
+            table[i][i] = i
+            table[0][i] = table[i][0] = i
+            table[n - 1][i] = table[i][n - 1] = n - 1
+        for (i, j), v in zip(free, values):
+            table[i][j] = table[j][i] = v
+        ok = all(table[table[a][b]][c] == table[a][table[b][c]]
+                 for a in range(n) for b in range(n) for c in range(n))
+        if ok:
+            yield tuple(tuple(row) for row in table)
+
+
+def _product_tables(n, join):
+    """Commutative monoid tables with unit n-1 and annihilator 0 that
+    distribute over the given join and admit every residual."""
+    def below(x):
+        return [v for v in range(n) if join[v][x] == x]
+
+    free = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
+    # integrality forces x*y below both factors, which prunes hard
+    choices = [sorted(set(below(i)) & set(below(j))) for i, j in free]
+    for values in itertools.product(*choices):
+        table = [[0] * n for _ in range(n)]
+        for i in range(n):
+            table[n - 1][i] = table[i][n - 1] = i
+            table[0][i] = table[i][0] = 0
+        for (i, j), v in zip(free, values):
+            table[i][j] = table[j][i] = v
+        ok = all(table[table[a][b]][c] == table[a][table[b][c]]
+                 for a in range(n) for b in range(n) for c in range(n))
+        ok = ok and all(
+            table[a][join[b][c]] == join[table[a][b]][table[a][c]]
+            for a in range(n) for b in range(n) for c in range(n))
+        if not ok:
+            continue
+        try:
+            imp = synthesize_imp(n, join, tuple(tuple(r) for r in table))
+        except ValueError:
+            continue
+        yield tuple(tuple(row) for row in table), imp
+
+
+def _by_form(algebras):
+    """One (canonical form, algebra) pair per isomorphism class among
+    `algebras`, keeping the first algebra met, in form order."""
+    seen = {}
+    for A in algebras:
+        seen.setdefault(canonical_form(A), A)
+    return [(form, seen[form]) for form in sorted(seen)]
+
+
+@lru_cache(maxsize=None)
+def _ririgs(n):
+    """The oracle of `enumerate_ririgs`: every labelled join table, every
+    product table on it, the first algebra met of each form."""
+    if n == 1:
+        return (Algebra(1, ((0,),), ((0,),), ((0,),), 0, 0),)
+    return tuple(A for _, A in _by_form(
+        Algebra(n, join, prod, imp, 0, n - 1)
+        for join in _join_tables(n) for prod, imp in _product_tables(n, join)))
+
+
+def _modal_tables(A, constraints=()):
+    """The oracle of `catalog._valid_modal_tables`: all n^n tables in
+    lexicographic order, each validated whole."""
+    n = A.size
+    sig = ModalSignature(("m1",))
+    for table in itertools.product(range(n), repeat=n):
+        if table[A.one] != A.one:
+            continue
+        M = A.with_modals(sig, (table,))
+        if not validate_modal(M).passed:
+            continue
+        if "contractive" in constraints and not is_contractive(M):
+            continue
+        if "Cm" in constraints and not satisfies_join_subdistribution(M, "m1"):
+            continue
+        yield table
+
+
+def _expansions(A, k, constraints=()):
+    """The oracle of `catalog._expansions_by_form`: every k-tuple of valid
+    tables, the first expansion met of each form."""
+    sig = ModalSignature(tuple(f"m{i + 1}" for i in range(k)))
+    singles = list(_modal_tables(A, constraints)) if k else []
+    return _by_form(A.with_modals(sig, tables)
+                    for tables in itertools.product(singles, repeat=k))
+
+
+def _catalog(max_size, modals, constraints=()):
+    """The (form, algebra) pairs of `catalog_build`, in its order."""
+    assert set(constraints) <= set(KNOWN_CONSTRAINTS)
+    out = []
+    for n in range(1, max_size + 1):
+        for base in _ririgs(n):
+            if "P" in constraints and not satisfies_prelinearity(base):
+                continue
+            if "chain" in constraints and not is_chain(base):
+                continue
+            out.extend(_expansions(base, modals, constraints))
+    out.sort(key=lambda pair: (pair[1].size, pair[0]))
+    return out
+
+
+CATALOG_SEARCH = SimpleNamespace(
+    join_tables=_join_tables, product_tables=_product_tables,
+    ririgs=_ririgs, modal_tables=_modal_tables, expansions=_expansions,
+    catalog=_catalog)
+
+
 def _random_term(rng, depth, nvars, modals=()):
     """A seeded term over v0..v(nvars-1) (constants only when nvars is 0);
     a binary node reuses its left subterm as its right one a fifth of the
@@ -217,6 +339,13 @@ def pairwise_compat():
 def set_routes():
     """The set-based filter routes, oracles of the bitmask ones."""
     return SET_ROUTES
+
+
+@pytest.fixture(scope="session")
+def catalog_search():
+    """The generate-and-test catalog search, oracle of the constructive
+    one."""
+    return CATALOG_SEARCH
 
 
 @pytest.fixture(scope="session")

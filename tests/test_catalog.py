@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from ririg.catalog import KNOWN_CONSTRAINTS, Catalog, canonical_form, \
+from ririg.catalog import KNOWN_CONSTRAINTS, Catalog, _expansion_forms, \
+    _lattices, _products, _valid_modal_tables, canonical_form, \
     catalog_build, catalog_load, catalog_loads, catalog_save, \
     enumerate_modal_expansions, enumerate_ririgs
 from ririg.core import Algebra, synthesize_imp, validate_ririg
@@ -60,9 +61,92 @@ def displacing_relabeling(A: Algebra, rng) -> tuple[int, ...]:
 
 
 def test_counts_small():
-    assert len(enumerate_ririgs(1)) == 1
-    assert len(enumerate_ririgs(2)) == 1
-    assert len(enumerate_ririgs(3)) == 2
+    # Belohlavek and Vychodil, "Residuated lattices of size <= 12" (2010)
+    assert [len(enumerate_ririgs(n, cap=6)) for n in range(1, 7)] \
+        == [1, 1, 2, 7, 26, 129]
+
+
+def test_enumeration_matches_the_oracle(catalog_search):
+    """The same labelled algebras in the same order as the search over
+    every labelled join and product table."""
+    for n in range(1, 6):
+        assert enumerate_ririgs(n) == list(catalog_search.ririgs(n)), n
+
+
+def test_lattice_and_product_search_match_the_oracle(catalog_search):
+    """One join table per class of the labelled ones, the least of its
+    class, with all its automorphisms; on each, every product table."""
+    # OEIS A006966: lattices of sizes 2 to 7
+    assert [len(_lattices(n)) for n in range(2, 8)] == [1, 1, 2, 5, 15, 53]
+    for n in range(2, 6):
+        relabelings = [(0,) + p + (n - 1,)
+                       for p in itertools.permutations(range(1, n - 1))]
+        classes = {min(permuted(Algebra(n, J, J, J, 0, n - 1), p).join
+                       for p in relabelings)
+                   for J in catalog_search.join_tables(n)}
+        lattices = _lattices(n)
+        assert sorted(classes) == sorted(J for J, _ in lattices)
+        for J, auts in lattices:
+            A = Algebra(n, J, J, J, 0, n - 1)
+            assert sorted(tuple(perm) for perm, _ in auts) == sorted(
+                p for p in relabelings if permuted(A, p) == A)
+            assert list(_products(J)) == [
+                prod for prod, _ in catalog_search.product_tables(n, J)]
+
+
+def bases_and_relabelings(max_size):
+    """Every base up to `max_size`, each also relabeled to move zero off 0
+    and one off n-1."""
+    rng = random.Random(5)
+    for n in range(1, max_size + 1):
+        for A in enumerate_ririgs(n):
+            yield A
+            yield permuted(A, displacing_relabeling(A, rng))
+
+
+@pytest.mark.parametrize("constraints", [(), ("contractive",), ("Cm",),
+                                         ("contractive", "Cm")])
+def test_modal_search_matches_the_oracle(constraints, catalog_search):
+    for A in bases_and_relabelings(5):
+        assert list(_valid_modal_tables(A, constraints)) \
+            == list(catalog_search.modal_tables(A, constraints))
+
+
+@pytest.mark.parametrize("max_size, k", [(5, 1), (4, 2)])
+def test_expansion_forms_match_canonical_form(max_size, k):
+    """Every candidate expansion of the (5, 1) and (4, 2) builds, not only
+    the kept representatives."""
+    sig = ModalSignature(tuple(f"m{i + 1}" for i in range(k)))
+    for A in bases_and_relabelings(max_size):
+        form_of = _expansion_forms(A, k)
+        for tables in itertools.product(_valid_modal_tables(A), repeat=k):
+            assert form_of(tables) == canonical_form(A.with_modals(sig,
+                                                                   tables))
+
+
+@pytest.mark.parametrize("args", [(5, 1), (4, 2), (4, 2, ("contractive", "P")),
+                                  (4, 1, ("Cm", "chain"))])
+def test_catalog_matches_the_oracle(args, catalog_search):
+    """Forms, representatives and their order."""
+    assert [(e.form, e.algebra) for e in catalog_build(*args).entries] \
+        == catalog_search.catalog(*args)
+
+
+@pytest.mark.extended
+def test_size6_enumeration_matches_the_oracle(catalog_search):
+    assert enumerate_ririgs(6, cap=6) == list(catalog_search.ririgs(6))
+
+
+@pytest.mark.extended
+def test_size7_count():
+    assert len(enumerate_ririgs(7, cap=7)) == 723
+
+
+@pytest.mark.extended
+def test_size6_catalog_matches_the_oracle(catalog_search):
+    assert [(e.form, e.algebra)
+            for e in catalog_build(6, 1, size_cap=6).entries] \
+        == catalog_search.catalog(6, 1)
 
 
 def test_size3_is_godel_and_lukasiewicz():
@@ -218,6 +302,9 @@ def test_constraint_filters():
     assert all(e.chain for e in chains.entries)
     with pytest.raises(ValueError):
         catalog_build(3, 1, ("frobnicate",))
+    # checked before the loop over sizes, which runs no base here
+    with pytest.raises(ValueError, match="unknown constraints"):
+        catalog_build(0, 1, ("bogus",))
 
 
 def naive_enumerate_size3():

@@ -134,6 +134,20 @@ def test_enumerate(capsys, tmp_path):
     assert report["count"] == 13 and out.exists()
 
 
+def test_enumerate_refuses_out_of_range_options(capsys, tmp_path):
+    out = tmp_path / "c.cat"
+    for message, options in (
+            ("--max-size must be at least 1", ["--max-size", "0"]),
+            ("--max-size must be at least 1", ["--max-size", "-2"]),
+            ("--modals must be at least 0",
+             ["--max-size", "2", "--modals", "-1"]),
+            ("--size-cap must be at least 1",
+             ["--max-size", "2", "--size-cap", "0"])):
+        assert main(["enumerate", *options, "--out", str(out)]) == 2, options
+        assert message in capsys.readouterr().err, options
+    assert not out.exists()
+
+
 def test_prove_with_soundness(capsys):
     code, report = run_json(capsys, "prove", PROOFS / "thm_weakening.prf",
                             "--catalog", DATA / "cat3_m.cat")
