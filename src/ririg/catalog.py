@@ -60,21 +60,7 @@ def canonical_form(A: Algebra) -> bytes:
     instead of n!; the argument holds for any shape-valid tables, not only
     for ririgs.
     """
-    n = A.size
-    tables = (A.join, A.prod, A.imp)
-    best: Optional[bytes] = None
-    for perm, inv in _relabelings(*_fixed_and_rest(A)):
-        payload = [n, perm[A.zero], perm[A.one], len(A.sig)]
-        for table in tables:
-            for a in inv:
-                row = table[a]
-                payload.extend(perm[row[b]] for b in inv)
-        for t in A.modal_tables:
-            payload.extend(perm[t[a]] for a in inv)
-        enc = bytes(payload)
-        if best is None or enc < best:
-            best = enc
-    return best
+    return _expansion_forms(A)(A.modal_tables)
 
 
 def _fixed_and_rest(A: Algebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -250,12 +236,19 @@ def enumerate_ririgs(n: int, cap: int = DEFAULT_SIZE_CAP) -> list[Algebra]:
     is labelled with bottom 0 and top n-1 by the relabeling that minimizes
     its join table's strict upper triangle, then its product table's upper
     triangle with diagonal."""
+    return [A for A, _ in _ririgs_with_forms(n, cap)]
+
+
+def _ririgs_with_forms(n: int, cap: int) -> list:
+    """The ririgs of `enumerate_ririgs`, in its order, each paired with its
+    `_expansion_forms`."""
     if n > cap:
         raise ValueError(f"size {n} exceeds enumeration cap {cap}")
     if n < 1:
         raise ValueError("size must be >= 1")
     if n == 1:
-        return [Algebra(1, ((0,),), ((0,),), ((0,),), 0, 0)]
+        A = Algebra(1, ((0,),), ((0,),), ((0,),), 0, 0)
+        return [(A, _expansion_forms(A))]
     cells = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
     found = []
     for join, auts in _lattices(n):
@@ -267,7 +260,8 @@ def enumerate_ririgs(n: int, cap: int = DEFAULT_SIZE_CAP) -> list[Algebra]:
                    for perm, inv in auts):
                 found.append(Algebra(n, join, prod,
                                      synthesize_imp(n, join, prod), 0, n - 1))
-    return sorted(found, key=canonical_form)
+    with_forms = [(A, _expansion_forms(A)) for A in found]
+    return sorted(with_forms, key=lambda pair: pair[1](()))
 
 
 def _valid_modal_tables(A: Algebra, constraints=()):
@@ -321,20 +315,21 @@ def enumerate_modal_expansions(A: Algebra, k: int, constraints=(),
                                ) -> list[Algebra]:
     """All expansions of A by k modal tables, up to isomorphism of the
     expanded structure.  Constraint names: contractive, Cm."""
-    return [M for _, M in _expansions_by_form(A, k, constraints, modal_cap)]
+    return [M for _, M in _expansions_by_form(A, k, constraints, modal_cap,
+                                              _expansion_forms(A))]
 
 
-def _expansions_by_form(A: Algebra, k: int, constraints,
-                        modal_cap: int) -> list[tuple[bytes, Algebra]]:
+def _expansions_by_form(A: Algebra, k: int, constraints, modal_cap: int,
+                        form_of) -> list[tuple[bytes, Algebra]]:
     """The expansions of `enumerate_modal_expansions`, each paired with
-    its canonical form, in form order.  Each class is represented by its
-    first tuple of tables in lexicographic order, the least of its
-    conjugates under A's automorphisms."""
+    its canonical form, in form order; `form_of` is A's `_expansion_forms`.
+    Each class is represented by its first tuple of tables in
+    lexicographic order, the least of its conjugates under A's
+    automorphisms."""
     if k > modal_cap:
         raise ValueError(f"{k} modal symbols exceed cap {modal_cap}")
     _check_constraints(constraints)
     sig = ModalSignature(tuple(f"m{i + 1}" for i in range(k)))
-    form_of = _expansion_forms(A, k)
     singles = list(_valid_modal_tables(A, constraints)) if k else []
     seen = {}
     for tables in itertools.product(singles, repeat=k):
@@ -343,21 +338,23 @@ def _expansions_by_form(A: Algebra, k: int, constraints,
             for form, tables in sorted(seen.items())]
 
 
-def _expansion_forms(A: Algebra, k: int):
-    """The function giving `canonical_form` of A expanded by a tuple of k
-    modal tables.  The relabelings that send zero to 0 and one to 1 and
-    minimize A's own payload (the best ones) are a coset of A's
-    automorphisms; the form is that payload followed by the least modal
-    payload over them."""
+def _expansion_forms(A: Algebra):
+    """The function giving `canonical_form` of A's lattice and product
+    expanded by a tuple of modal tables.  The relabelings that send zero
+    to 0 and one to 1 and minimize the join, product and implication
+    payload (the best ones) are a coset of A's automorphisms; as that
+    payload has a fixed length, the form is the header and that payload
+    followed by the least modal payload over the best relabelings."""
     payload, best = _least(
         _relabelings(*_fixed_and_rest(A)),
         lambda perm, inv: bytes(perm[table[a][b]]
                                 for table in (A.join, A.prod, A.imp)
                                 for a in inv for b in inv))
     perm = best[0][0]
-    head = bytes((A.size, perm[A.zero], perm[A.one], k)) + payload
-    return lambda tables: head + min(
-        bytes(perm[t[a]] for t in tables for a in inv) for perm, inv in best)
+    zero, one = perm[A.zero], perm[A.one]
+    return lambda tables: bytes((A.size, zero, one, len(tables))) \
+        + payload + min(bytes(perm[t[a]] for t in tables for a in inv)
+                        for perm, inv in best)
 
 
 @dataclass(frozen=True)
@@ -408,13 +405,13 @@ def catalog_build(max_size: int, modals: int, constraints=(),
     _check_constraints(constraints)
     entries = []
     for n in range(1, max_size + 1):
-        for base in enumerate_ririgs(n, cap=size_cap):
+        for base, form_of in _ririgs_with_forms(n, size_cap):
             if "P" in constraints and not satisfies_prelinearity(base):
                 continue
             if "chain" in constraints and not is_chain(base):
                 continue
             for form, M in _expansions_by_form(base, modals, constraints,
-                                               modal_cap):
+                                               modal_cap, form_of):
                 entries.append(CatalogEntry.from_algebra(M, form=form))
     entries.sort(key=lambda e: (e.algebra.size, e.form))
     forms = [e.form for e in entries]

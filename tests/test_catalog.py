@@ -113,15 +113,16 @@ def test_modal_search_matches_the_oracle(constraints, catalog_search):
 
 
 @pytest.mark.parametrize("max_size, k", [(5, 1), (4, 2)])
-def test_expansion_forms_match_canonical_form(max_size, k):
+def test_expansion_forms_match_the_brute_force_oracle(max_size, k):
     """Every candidate expansion of the (5, 1) and (4, 2) builds, not only
-    the kept representatives."""
+    the kept representatives, against the minimum over all n!
+    relabelings."""
     sig = ModalSignature(tuple(f"m{i + 1}" for i in range(k)))
     for A in bases_and_relabelings(max_size):
-        form_of = _expansion_forms(A, k)
+        form_of = _expansion_forms(A)
         for tables in itertools.product(_valid_modal_tables(A), repeat=k):
-            assert form_of(tables) == canonical_form(A.with_modals(sig,
-                                                                   tables))
+            assert form_of(tables) == brute_force_form(A.with_modals(sig,
+                                                                     tables))
 
 
 @pytest.mark.parametrize("args", [(5, 1), (4, 2), (4, 2, ("contractive", "P")),
@@ -138,8 +139,16 @@ def test_size6_enumeration_matches_the_oracle(catalog_search):
 
 
 @pytest.mark.extended
-def test_size7_count():
-    assert len(enumerate_ririgs(7, cap=7)) == 723
+def test_size7_count_and_validity():
+    """The published count; every base a ririg and every table of the
+    modal search a valid modal operator on it."""
+    bases = enumerate_ririgs(7, cap=7)
+    assert len(bases) == 723
+    sig = ModalSignature(("m1",))
+    for A in bases:
+        assert validate_ririg(A).passed
+        for table in _valid_modal_tables(A):
+            assert validate_modal(A.with_modals(sig, (table,))).passed
 
 
 @pytest.mark.extended
