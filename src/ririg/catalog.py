@@ -40,7 +40,7 @@ from .core import Algebra, ModalSignature, Table, synthesize_imp
 from .terms import in_chain_variety, is_chain, is_contractive, \
     satisfies_prelinearity
 
-DEFAULT_SIZE_CAP = 5
+DEFAULT_SIZE_CAP = 6
 DEFAULT_MODAL_CAP = 2
 CATALOG_FORMAT = "ririg-catalog"
 CATALOG_VERSION = 1
@@ -371,8 +371,11 @@ class CatalogEntry:
     @classmethod
     def from_algebra(cls, A: Algebra,
                      form: Optional[bytes] = None) -> "CatalogEntry":
-        """Compute the entry's flags; `form`, when given, must be
-        `canonical_form(A)` and saves recomputing it."""
+        """The entry of one algebra, its flags computed from A alone;
+        `form`, when given, must be `canonical_form(A)` and saves
+        recomputing it.  catalog_build computes the same flags once per
+        base and modal table (`_base_entries`); this path is their oracle
+        in the tests."""
         from .filters import is_subdirectly_irreducible, simple_from_filters
         trivial = A.size == 1
         return cls(
@@ -410,17 +413,56 @@ def catalog_build(max_size: int, modals: int, constraints=(),
                 continue
             if "chain" in constraints and not is_chain(base):
                 continue
-            for form, M in _expansions_by_form(base, modals, constraints,
-                                               modal_cap, form_of):
-                entries.append(CatalogEntry.from_algebra(M, form=form))
+            entries += _base_entries(base, _expansions_by_form(
+                base, modals, constraints, modal_cap, form_of))
     entries.sort(key=lambda e: (e.algebra.size, e.form))
     forms = [e.form for e in entries]
     assert len(forms) == len(set(forms))
     return Catalog(max_size, modals, constraints, tuple(entries))
 
 
+def _base_entries(base: Algebra, expansions) -> list[CatalogEntry]:
+    """The entries of `expansions`, (form, algebra) pairs expanding `base`,
+    with the flags of CatalogEntry.from_algebra.  chain and prelinearity
+    read only the base's tables, so they are decided once; contractive and
+    join-subdistribution are conjunctions over the modal tables, each table
+    decided once; simple and si come from the coatoms' principal filters
+    over the base's tables (filters.expansion_verdicts)."""
+    from .filters import expansion_verdicts
+    n, join = base.size, base.join
+    trivial = n == 1
+    chain, prelinear = is_chain(base), satisfies_prelinearity(base)
+    verdicts = None if trivial else expansion_verdicts(base)
+    pairs = [(a, b, join[a][b]) for a in range(n) for b in range(n)]
+    per_table = {}
+
+    def table_flags(t):
+        """(contractive, join-subdistributive) of the modal table t:
+        m(x) <= x, and m(a v b) <= m(a) v m(b)."""
+        if t not in per_table:
+            per_table[t] = (
+                all(join[v][x] == x for x, v in enumerate(t)),
+                all(join[t[c]][join[t[a]][t[b]]] == join[t[a]][t[b]]
+                    for a, b, c in pairs))
+        return per_table[t]
+
+    entries = []
+    for form, M in expansions:
+        flags = [table_flags(t) for t in M.modal_tables]
+        contractive = all(c for c, _ in flags)
+        simple, si = (None, None) if trivial else verdicts(M.modal_tables)
+        entries.append(CatalogEntry(
+            M, form, trivial, chain, contractive,
+            contractive and prelinear and all(j for _, j in flags),
+            simple, si))
+    return entries
+
+
 # ---------------------------------------------------------------------------
 # persistence: versioned header line, then one JSON record per algebra
+
+_FLAGS = ("trivial", "chain", "contractive", "in_rc", "simple", "si")
+
 
 def _algebra_to_record(A: Algebra) -> dict:
     return {
@@ -452,9 +494,7 @@ def catalog_save(catalog: Catalog, path) -> None:
         for e in catalog.entries:
             rec = _algebra_to_record(e.algebra)
             rec["form"] = e.form.hex()
-            rec["flags"] = {"trivial": e.trivial, "chain": e.chain,
-                            "contractive": e.contractive, "in_rc": e.in_rc,
-                            "simple": e.simple, "si": e.si}
+            rec["flags"] = {key: getattr(e, key) for key in _FLAGS}
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
@@ -518,10 +558,20 @@ def _header_fields(header) -> tuple:
 
 
 def _entry_from_record(rec: dict) -> CatalogEntry:
+    """The entry of a record whose flags are booleans, `trivial` exactly
+    when the size is 1, and `simple` and `si` null exactly then."""
     flags = rec["flags"]
-    return CatalogEntry(
-        algebra=_algebra_from_record(rec),
-        form=bytes.fromhex(rec["form"]),
-        trivial=flags["trivial"], chain=flags["chain"],
-        contractive=flags["contractive"], in_rc=flags["in_rc"],
-        simple=flags["simple"], si=flags["si"])
+    trivial, chain, contractive, in_rc, simple, si = values = \
+        [flags[key] for key in _FLAGS]
+    A = _algebra_from_record(rec)
+    for key, value in zip(_FLAGS, values):
+        if type(value) is not bool \
+                and not (value is None and key in ("simple", "si")):
+            raise ValueError(f"flag {key} {value!r} is not a boolean")
+    if trivial != (A.size == 1):
+        raise ValueError(f"flag trivial {trivial} but size {A.size}")
+    if (simple is None) != trivial or (si is None) != trivial:
+        raise ValueError(f"flags simple {simple} and si {si} must be null "
+                         f"exactly for the trivial algebra")
+    return CatalogEntry(A, bytes.fromhex(rec["form"]), trivial, chain,
+                        contractive, in_rc, simple, si)

@@ -13,20 +13,25 @@ generate_filter_blocks, generate_filter_lambda), as has the shortest-product
 witness search (_shortest_product_below) that is_simple and compat share.
 
 One cache, `_context`, holds every per-algebra table, and only this module
-builds them: the up-set masks; the verdict of validate_ririg and
-validate_modal, by which compat refuses an algebra; each element's block
-values with a shortest block each, and their masks by block length; the
-block route's product closures; Fg({c}) by each of the three routes, with
-the theta_F of the distinct principal filters; the partition scan once
-run; and compat's memo of slot-star products per arity.  In a finite
-integral algebra a filter F is Fg({p}) for p the product of its members
-(p lies in F, and p <= x for each x in F), so the principal filters are
-all the filters and their theta_F all the congruences: congruences_of,
-the simplicity and subdirect irreducibility tests, the subalgebras of
-cep_check and terms.fg_intersection_check read that table.  The block
-and contraction routes never read it; they share only the up-set masks
-with it.  all_ifilters (every subset) and all_congruences_direct (every
-partition) stay exhaustive oracles.
+builds them: the up-set masks and the coatoms; the verdict of
+validate_ririg and validate_modal, by which compat refuses an algebra;
+each element's block values with a shortest block each, and their masks
+by block length; the block route's product closures; Fg({c}) by each of
+the three routes, with the theta_F of the distinct principal filters; the
+partition scan once run; and compat's memo of slot-star products per
+arity.  In a finite integral algebra a filter F is Fg({p}) for p the
+product of its members (p lies in F, and p <= x for each x in F), so the
+principal filters are all the filters and their theta_F all the
+congruences: congruences_of, the subalgebras of cep_check and
+terms.fg_intersection_check read that table.  As c <= d puts Fg({d})
+inside Fg({c}), the simplicity and subdirect irreducibility tests read
+only the coatoms' entries (_coatom_verdict).  catalog_build's simple and
+si flags close the coatoms' Fg({c}) over one base's context with each
+expansion's modal image (expansion_verdicts), so no context is built per
+expansion.  The block and contraction routes never read the principal
+filters; they share only the up-set masks with them.  all_ifilters (every
+subset) and all_congruences_direct (every partition) stay exhaustive
+oracles.
 """
 
 from __future__ import annotations
@@ -180,6 +185,13 @@ class _Context:
                      for c in range(self.algebra.size))
 
     @cached_property
+    def coatoms(self) -> tuple[int, ...]:
+        """The maximal elements below 1, ascending."""
+        one = self.algebra.one
+        return tuple(c for c, up in enumerate(self.up)
+                     if up == 1 << c | 1 << one and c != one)
+
+    @cached_property
     def congruences(self) -> tuple[Partition, ...]:
         """theta_F of the distinct principal filters, in the order of
         all_ifilters."""
@@ -196,6 +208,20 @@ class _Context:
 @lru_cache(maxsize=ALGEBRA_CACHE_SIZE)
 def _context(A: Algebra) -> _Context:
     return _Context(A)
+
+
+class _Expansion:
+    """What _closure reads of an expansion of a base by other modal tables:
+    the base context's tables, with the expansion's modal image."""
+
+    __slots__ = ("algebra", "up", "members", "modal_image")
+
+    def __init__(self, ctx: _Context, modal_tables):
+        self.algebra, self.up, self.members = ctx.algebra, ctx.up, ctx.members
+        self.modal_image = image = [0] * ctx.algebra.size
+        for t in modal_tables:
+            for x, v in enumerate(t):
+                image[x] |= 1 << v
 
 
 def _subset(ctx: _Context, mask: int) -> Subset:
@@ -218,7 +244,7 @@ def _is_filter(ctx: _Context, S: int) -> bool:
     return True
 
 
-def _closure(ctx: _Context, S: int, within: int = -1) -> int:
+def _closure(ctx: _Context | _Expansion, S: int, within: int = -1) -> int:
     """Least filter containing the mask S, by closure fixpoint; with
     `within` the mask of a subuniverse, the least filter of that
     subalgebra.  Each element is closed once, under the up-set, the
@@ -608,35 +634,63 @@ def is_simple(A: Algebra):
     return True, witnesses
 
 
+def _coatom_verdict(ctx: _Context, filters) -> tuple[bool, int | None]:
+    """(simple, a maximal si witness or None) of an algebra of size at
+    least 2, from `filters`, Fg({c}) for each of ctx's coatoms c.  If
+    c <= d then Fg({d}) is in Fg({c}), and each c != 1 lies below a
+    coatom, so the meet of Fg({c}) over every c != 1 is the meet over the
+    coatoms: the algebra is simple iff that meet is everything, and
+    subdirectly irreducible iff it holds some b != 1."""
+    one = ctx.algebra.one
+    common = ctx.full
+    for F in filters:
+        common &= F
+    candidates = [b for b in ctx.members[common] if b != one]
+    maximal = [b for b in candidates
+               if not any(c != b and ctx.up[b] >> c & 1 for c in candidates)]
+    return common == ctx.full, maximal[0] if maximal else None
+
+
+def _principal_verdict(A: Algebra) -> tuple[bool, int | None]:
+    """_coatom_verdict of A from its context's principal filters."""
+    ctx = _context(A)
+    return _coatom_verdict(ctx, [ctx.principal[c] for c in ctx.coatoms])
+
+
+def expansion_verdicts(A: Algebra):
+    """The function giving (simple, si) of A expanded by a tuple of modal
+    tables, A of size at least 2: _coatom_verdict with each coatom's
+    Fg({c}) closed over A's tables and the expansion's modal image.  The
+    context of A is built once, kept out of the cache, and no context is
+    built per expansion."""
+    ctx = _Context(A)
+
+    def verdicts(modal_tables) -> tuple[bool, bool]:
+        expansion = _Expansion(ctx, modal_tables)
+        simple, witness = _coatom_verdict(
+            ctx, [_closure(expansion, 1 << c) for c in ctx.coatoms])
+        return simple, witness is not None
+    return verdicts
+
+
 def simple_from_filters(A: Algebra) -> bool:
     """is_simple's decision without its witnesses, read from the principal
-    filters: every element other than 1 generates the whole algebra."""
+    filters of the coatoms: every element other than 1 generates the
+    whole algebra."""
     if A.size < 2:
         raise ValueError("simplicity is undefined for the trivial algebra")
-    ctx = _context(A)
-    return all(F == ctx.full for a, F in enumerate(ctx.principal)
-               if a != A.one)
+    return _principal_verdict(A)[0]
 
 
 def is_subdirectly_irreducible(A: Algebra):
     """(decision, witness): true iff some b != 1 lies in the generated
-    filter of every non-unit element, read from the principal filters;
-    returns a maximal such b."""
+    filter of every non-unit element, read from the principal filters of
+    the coatoms; returns a maximal such b."""
     if A.size < 2:
         raise ValueError("subdirect irreducibility is undefined for the "
                          "trivial algebra")
-    ctx = _context(A)
-    common = ctx.full
-    for a, F in enumerate(ctx.principal):
-        if a != A.one:
-            common &= F
-    candidates = [b for b in ctx.members[common] if b != A.one]
-    if not candidates:
-        return False, None
-    maximal = [b for b in candidates
-               if not any(c != b and ctx.up[b] >> c & 1
-                          for c in candidates)]
-    return True, maximal[0]
+    witness = _principal_verdict(A)[1]
+    return witness is not None, witness
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from ririg.catalog import KNOWN_CONSTRAINTS, Catalog, _expansion_forms, \
-    _lattices, _products, _valid_modal_tables, canonical_form, \
-    catalog_build, catalog_load, catalog_loads, catalog_save, \
-    enumerate_modal_expansions, enumerate_ririgs
+from ririg.catalog import KNOWN_CONSTRAINTS, Catalog, CatalogEntry, \
+    _expansion_forms, _lattices, _products, _valid_modal_tables, \
+    canonical_form, catalog_build, catalog_load, catalog_loads, \
+    catalog_save, enumerate_modal_expansions, enumerate_ririgs
 from ririg.core import Algebra, synthesize_imp, validate_ririg
 from ririg.fixtures import b2, g3, g3_delta, g3_id, luk3
 from ririg.modal import ModalSignature, validate_modal
@@ -171,7 +171,7 @@ def test_enumerated_algebras_validate():
 
 def test_enumeration_cap():
     with pytest.raises(ValueError):
-        enumerate_ririgs(6)
+        enumerate_ririgs(7)
 
 
 def test_b2_expansions():
@@ -259,7 +259,20 @@ def test_catalog_entry_count_k0():
     assert len(catalog_build(2, 0).entries) == 2    # sizes 1 and 2
 
 
+def check_flags(cat, every):
+    """Each entry equals the one-algebra path's; every `every`-th
+    nontrivial entry's simple flag equals the block route's decision."""
+    from ririg.filters import is_simple
+    for k, e in enumerate(cat.entries):
+        assert e == CatalogEntry.from_algebra(e.algebra, form=e.form)
+        if k % every == 0 and not e.trivial:
+            assert e.simple == is_simple(e.algebra)[0]
+
+
 def test_catalog_flags_match_recomputation():
+    """The flags computed once per base and modal table equal the ones of
+    each algebra alone, on catalogs with one and two modals, with
+    constraints, and with plain ririgs."""
     from ririg.filters import is_simple, is_subdirectly_irreducible
     cat = catalog_build(3, 1)
     for e in cat.entries:
@@ -273,6 +286,14 @@ def test_catalog_flags_match_recomputation():
             assert e.si == is_subdirectly_irreducible(A)[0]
         else:
             assert e.simple is None and e.si is None
+    for args in ((5, 1), (4, 2), (4, 2, ("contractive", "P")),
+                 (4, 1, ("Cm", "chain")), (4, 0)):
+        check_flags(catalog_build(*args), every=7)
+
+
+@pytest.mark.extended
+def test_size6_catalog_flags_match_recomputation():
+    check_flags(catalog_build(6, 1, size_cap=6), every=31)
 
 
 def test_no_duplicate_forms(catalog4):
@@ -408,6 +429,28 @@ def test_catalog_loads_checks_the_header_fields():
     good = dict(header, constraints=list(KNOWN_CONSTRAINTS))
     assert catalog_loads("\n".join([json.dumps(good)] + lines[1:])) \
         .constraints == KNOWN_CONSTRAINTS
+
+
+def test_catalog_loads_checks_the_flags():
+    lines = (DATA / "cat2.cat").read_text().splitlines()
+    trivial, nontrivial = json.loads(lines[1]), json.loads(lines[2])
+    assert trivial["size"] == 1 and nontrivial["size"] == 2
+    for rec, key, value, message in (
+            (nontrivial, "chain", 7, "flag chain 7 is not a boolean"),
+            (nontrivial, "simple", "no", "flag simple 'no' is not a "),
+            (nontrivial, "in_rc", None, "flag in_rc None is not a "),
+            (nontrivial, "trivial", 0, "flag trivial 0 is not a "),
+            (nontrivial, "trivial", True, "flag trivial True but size 2"),
+            (trivial, "trivial", False, "flag trivial False but size 1"),
+            (nontrivial, "si", None, "flags simple True and si None must "
+                                     "be null exactly for the trivial"),
+            (trivial, "simple", False, "flags simple False and si None ")):
+        bad = dict(rec, flags=dict(rec["flags"], **{key: value}))
+        number = 2 if rec is trivial else 3
+        text = "\n".join(lines[:number - 1] + [json.dumps(bad)]
+                         + lines[number:])
+        with pytest.raises(ValueError, match=f"^line {number}: {message}"):
+            catalog_loads(text)
 
 
 def test_catalog_loads_names_the_bad_line():

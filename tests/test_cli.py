@@ -308,7 +308,12 @@ def test_entails_bad_catalog_exits_2(tmp_path):
     missing_key = tmp_path / "missing.cat"
     missing_key.write_text("\n".join(lines[:2] + [json.dumps(rec)]
                                      + lines[3:]) + "\n")
-    for bad in (truncated, missing_key):
+    rec = json.loads(lines[2])
+    rec["flags"]["chain"] = 7
+    bad_flag = tmp_path / "bad_flag.cat"
+    bad_flag.write_text("\n".join(lines[:2] + [json.dumps(rec)]
+                                  + lines[3:]) + "\n")
+    for bad in (truncated, missing_key, bad_flag):
         assert main(["entails", "--catalog", str(bad), "v0 -> v0 = 1"]) == 2
 
 

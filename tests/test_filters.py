@@ -439,6 +439,34 @@ def test_is_si_examples(G3I, G3D, B2B2):
     assert is_subdirectly_irreducible(B2B2) == (False, None)
 
 
+def every_element_verdict(A):
+    """(simple, (si, a maximal si witness)) from Fg({c}) of every c != 1,
+    read from the context's principal filters."""
+    principal = _context(A).principal
+    common = set(range(A.size))
+    for c, F in enumerate(principal):
+        if c != A.one:
+            common &= {x for x in range(A.size) if F >> x & 1}
+    candidates = sorted(common - {A.one})
+    maximal = [b for b in candidates
+               if not any(c != b and A.leq(b, c) for c in candidates)]
+    return len(common) == A.size, \
+        (bool(candidates), maximal[0] if candidates else None)
+
+
+def test_coatom_reduction_matches_every_element(catalog4):
+    """simple and si read from the coatoms' principal filters equal the
+    verdicts read from every element's."""
+    algebras = catalog4 + catalog_build(5, 1).algebras() \
+        + catalog_build(4, 2).algebras()
+    for A in algebras:
+        if A.size < 2:
+            continue
+        simple, si = every_element_verdict(A)
+        assert simple_from_filters(A) == simple
+        assert is_subdirectly_irreducible(A) == si
+
+
 def test_simple_si_match_congruence_lattice(catalog4):
     for A in catalog4:
         if A.size < 2:
