@@ -25,7 +25,9 @@ The canonical form starts with the new labels of zero and one, so only
 the relabelings sending zero to 0 and one to 1 can give the minimum, and
 only those (n-2)! are tried, once per base class.  An expansion's form
 reuses its base's best relabelings.  The forms are stored in the catalog
-entries, which are sorted by them.
+entries.  The bases come in form order, each with its expansions in form
+order, and a form starts with the size, so the entries come out sorted by
+form; the build checks that order as it goes and sorts nothing.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .core import Algebra, ModalSignature, Table, synthesize_imp
+from .files import algebra_from_dict, algebra_to_dict
 from .terms import in_chain_variety, is_chain, is_contractive, \
     satisfies_prelinearity
 
@@ -406,18 +409,20 @@ def catalog_build(max_size: int, modals: int, constraints=(),
                   modal_cap: int = DEFAULT_MODAL_CAP) -> Catalog:
     constraints = tuple(constraints)
     _check_constraints(constraints)
-    entries = []
+    entries, last = [], b""
     for n in range(1, max_size + 1):
         for base, form_of in _ririgs_with_forms(n, size_cap):
             if "P" in constraints and not satisfies_prelinearity(base):
                 continue
             if "chain" in constraints and not is_chain(base):
                 continue
-            entries += _base_entries(base, _expansions_by_form(
-                base, modals, constraints, modal_cap, form_of))
-    entries.sort(key=lambda e: (e.algebra.size, e.form))
-    forms = [e.form for e in entries]
-    assert len(forms) == len(set(forms))
+            for entry in _base_entries(base, _expansions_by_form(
+                    base, modals, constraints, modal_cap, form_of)):
+                # a form starts with the size, so forms strictly increasing
+                # means (size, form) is sorted and no form repeats
+                assert entry.form > last, "catalog forms out of order"
+                last = entry.form
+                entries.append(entry)
     return Catalog(max_size, modals, constraints, tuple(entries))
 
 
@@ -459,29 +464,12 @@ def _base_entries(base: Algebra, expansions) -> list[CatalogEntry]:
 
 
 # ---------------------------------------------------------------------------
-# persistence: versioned header line, then one JSON record per algebra
+# persistence: versioned header line, then one JSON record per algebra: an
+# algebra document of `files` (always with `modals`, never with labels) plus
+# the entry's `form` and `flags`.  The tables are read and checked as in an
+# algebra file; forms, flags and axioms are read as written.
 
 _FLAGS = ("trivial", "chain", "contractive", "in_rc", "simple", "si")
-
-
-def _algebra_to_record(A: Algebra) -> dict:
-    return {
-        "size": A.size,
-        "zero": A.zero,
-        "one": A.one,
-        "join": [list(r) for r in A.join],
-        "prod": [list(r) for r in A.prod],
-        "imp": [list(r) for r in A.imp],
-        "modals": {name: list(t)
-                   for name, t in zip(A.sig.names, A.modal_tables)},
-    }
-
-
-def _algebra_from_record(rec: dict) -> Algebra:
-    names = tuple(rec.get("modals", {}))
-    tables = tuple(tuple(rec["modals"][name]) for name in names)
-    return Algebra(rec["size"], rec["join"], rec["prod"], rec["imp"],
-                   rec["zero"], rec["one"], ModalSignature(names), tables)
 
 
 def catalog_save(catalog: Catalog, path) -> None:
@@ -492,7 +480,8 @@ def catalog_save(catalog: Catalog, path) -> None:
                   "count": len(catalog.entries)}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for e in catalog.entries:
-            rec = _algebra_to_record(e.algebra)
+            rec = algebra_to_dict(e.algebra)
+            rec.setdefault("modals", {})
             rec["form"] = e.form.hex()
             rec["flags"] = {key: getattr(e, key) for key in _FLAGS}
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -506,9 +495,11 @@ def catalog_load(path) -> Catalog:
 def catalog_loads(text: str) -> Catalog:
     """Parse a catalog file.  A line that is not JSON, lacks a key or holds
     a malformed value, and a header `count` that differs from the number
-    of records (a truncated file), raise ValueError naming the line.  The
-    records are not re-verified: forms, flags and axioms are read as
-    written."""
+    of records (a truncated file), raise ValueError naming the line.  Each
+    record's algebra is decoded like an algebra file, so a table entry
+    that is not an integer in range is refused with its field and
+    position.  The records are not otherwise re-verified: forms, flags and
+    axioms are read as written."""
     lines = [(number, line)
              for number, line in enumerate(text.splitlines(), start=1)
              if line.strip()]
@@ -563,7 +554,7 @@ def _entry_from_record(rec: dict) -> CatalogEntry:
     flags = rec["flags"]
     trivial, chain, contractive, in_rc, simple, si = values = \
         [flags[key] for key in _FLAGS]
-    A = _algebra_from_record(rec)
+    A, _ = algebra_from_dict(rec)
     for key, value in zip(_FLAGS, values):
         if type(value) is not bool \
                 and not (value is None and key in ("simple", "si")):

@@ -110,10 +110,16 @@ class CompatReport:
 
 
 def check_size(A: Algebra, f: FiniteFunction):
-    """Raise ValueError unless f acts on A's elements."""
-    if f.size() != A.size:
+    """Raise ValueError unless f acts on A's elements: its arguments and
+    its values range over [0, n), n the size of A."""
+    n, table = A.size, f.table
+    if f.size() != n:
         raise ValueError(f"function table size {f.size()} does not match "
-                         f"the algebra size {A.size}")
+                         f"the algebra size {n}")
+    if min(table) < 0 or max(table) >= n:
+        pos, x = next((pos, x) for pos, x in enumerate(table)
+                      if not 0 <= x < n)
+        raise ValueError(f"function table, entry {pos}: {x} not in [0,{n})")
 
 
 def is_compatible_direct(A: Algebra, f: FiniteFunction,

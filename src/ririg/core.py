@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 Table = tuple[tuple[int, ...], ...]
@@ -46,29 +47,39 @@ class ModalSignature:
 EMPTY_SIGNATURE = ModalSignature(())
 
 
-def _freeze_table(rows) -> Table:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+def _frozen(name: str, rows, n: int, count: int) -> Table:
+    """`rows` as `count` tuples of n ints in [0, n): the one check of the
+    entries of a ririg table (count n) or a modal table (count 1).
 
-
-def _check_table(name: str, table: Table, n: int) -> None:
-    if len(table) != n or any(len(row) != n for row in table):
-        raise ValueError(f"{name} table must be {n}x{n}")
-    for row in table:
-        for x in row:
-            if not (0 <= x < n):
-                raise ValueError(f"{name} table entry {x} out of range [0,{n})")
+    Only an `int` is an entry; a bool, float or str is not.  The whole
+    table is checked with C-level calls, and only a bad one is searched
+    for its first bad entry, whose row-major position the ValueError
+    names.
+    """
+    try:
+        table = tuple(map(tuple, rows))
+    except TypeError:
+        table = ()
+    if len(table) != count or list(map(len, table)).count(n) != count:
+        raise ValueError(f"{name} table must be {count}x{n}")
+    flat = table[0] if count == 1 else list(chain.from_iterable(table))
+    if list(map(type, flat)).count(int) != len(flat) \
+            or min(flat) < 0 or max(flat) >= n:
+        pos, x = next((pos, x) for pos, x in enumerate(flat)
+                      if type(x) is not int or not 0 <= x < n)
+        raise ValueError(f"{name} table, entry {pos}: {x!r} is not an "
+                         f"integer in [0,{n})")
+    return table
 
 
 def _modal_tables(sig: ModalSignature, tables, n: int) -> Table:
-    """The modal tables frozen, one per name of `sig`, each of length n
-    with entries in range."""
-    tables = tuple(tuple(map(int, t)) for t in tables)
+    """The modal tables frozen, one per name of `sig`, each named
+    ``modals.<name>`` in errors."""
+    tables = tuple(tables)
     if len(tables) != len(sig):
         raise ValueError("one table per modal name required")
-    for t in tables:
-        if len(t) != n or min(t) < 0 or max(t) >= n:
-            raise ValueError("modal table malformed")
-    return tables
+    return tuple([_frozen("modals." + name, (t,), n, 1)[0]
+                  for name, t in zip(sig.names, tables)])
 
 
 @dataclass(frozen=True)
@@ -76,10 +87,10 @@ class Algebra:
     """Operation tables of a candidate I-modal residuated integral rig:
     the ririg tables and one unary table per name of `sig`.
 
-    Construction only checks shapes (entries in range); whether the tables
-    actually satisfy the axioms is the job of :func:`validate_ririg` and
-    ``modal.validate_modal``, so that deliberately broken candidates can be
-    represented and reported on.
+    Construction only checks shapes (every entry an `int` in range);
+    whether the tables actually satisfy the axioms is the job of
+    :func:`validate_ririg` and ``modal.validate_modal``, so that
+    deliberately broken candidates can be represented and reported on.
     """
 
     size: int
@@ -93,15 +104,16 @@ class Algebra:
 
     def __post_init__(self):
         n = self.size
-        if n <= 0:
-            raise ValueError("size must be positive")
-        object.__setattr__(self, "join", _freeze_table(self.join))
-        object.__setattr__(self, "prod", _freeze_table(self.prod))
-        object.__setattr__(self, "imp", _freeze_table(self.imp))
+        if type(n) is not int or n <= 0:
+            raise ValueError(f"size {n!r} is not a positive integer")
         for name in ("join", "prod", "imp"):
-            _check_table(name, getattr(self, name), n)
-        if not (0 <= self.zero < n and 0 <= self.one < n):
-            raise ValueError("zero/one out of range")
+            object.__setattr__(self, name,
+                               _frozen(name, getattr(self, name), n, n))
+        for name in ("zero", "one"):
+            x = getattr(self, name)
+            if type(x) is not int or not 0 <= x < n:
+                raise ValueError(f"{name} {x!r} is not an integer in "
+                                 f"[0,{n})")
         object.__setattr__(self, "modal_tables",
                            _modal_tables(self.sig, self.modal_tables, n))
         self._set_hash()
@@ -127,10 +139,8 @@ class Algebra:
 
         Raises ValueError when some residual does not exist.
         """
-        join = _freeze_table(join)
-        prod = _freeze_table(prod)
-        imp = synthesize_imp(size, join, prod)
-        return cls(size, join, prod, imp, zero, one)
+        return cls(size, join, prod, synthesize_imp(size, join, prod),
+                   zero, one)
 
     def with_modals(self, sig: ModalSignature, tables) -> "Algebra":
         """This algebra's ririg tables with `tables` as the modal operators
@@ -216,15 +226,16 @@ def _residual(join: Table, prod: Table, b: int, c: int) -> Optional[int]:
 def synthesize_imp(size: int, join: Table, prod: Table) -> Table:
     """Residual table from join/prod; ValueError if a table is not
     size x size with entries in range, or if any residual is absent."""
-    _check_table("join", join, size)
-    _check_table("prod", prod, size)
+    join = _frozen("join", join, size, size)
+    prod = _frozen("prod", prod, size, size)
     rows = []
     for b in range(size):
         row = []
         for c in range(size):
             r = _residual(join, prod, b, c)
             if r is None:
-                raise ValueError(f"not residuated at ({b},{c}): no maximum")
+                raise ValueError(f"cannot synthesize imp: not residuated "
+                                 f"at ({b},{c}): no maximum")
             row.append(r)
         rows.append(tuple(row))
     return tuple(rows)

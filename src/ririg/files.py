@@ -3,6 +3,10 @@
 Algebra fields: size, zero, one, join (n x n), prod (n x n), optional imp
 (synthesized from join/prod when missing), optional modals (ordered map
 name -> length-n array), optional labels (n strings echoed in reports).
+A table is nested rows or one flat row-major list.  This module reads the
+layout; the `Algebra` constructor checks every entry, and its errors name
+the table and the entry's row-major position.  A catalog record (see
+`catalog`) is an algebra document without labels, plus `form` and `flags`.
 Function fields: arity, table (flat, row-major, last argument fastest).
 """
 
@@ -40,69 +44,46 @@ def _int_field(doc: dict, field: str, lo: int, hi: int) -> int:
     return v
 
 
-def _table_field(doc: dict, field: str, n: int):
-    rows = doc[field]
-    flat = None
+def _rows(rows, n: int):
+    """A table as the document gives it: nested rows as they are, a flat
+    row-major list of n*n entries split into rows."""
     if isinstance(rows, list) and len(rows) == n * n \
-            and all(isinstance(x, int) and not isinstance(x, bool)
-                    for x in rows):
-        flat = rows
-    elif isinstance(rows, list) and len(rows) == n \
-            and all(isinstance(r, list) and len(r) == n for r in rows):
-        flat = [x for r in rows for x in r]
-    if flat is None:
-        raise FileFormatError(
-            f"field {field!r}: expected an {n}x{n} table "
-            f"(nested rows or flat row-major list)")
-    for pos, x in enumerate(flat):
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
-            raise FileFormatError(
-                f"field {field!r}, entry {pos}: {x!r} not in [0,{n})")
-    return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+            and not isinstance(rows[0], list):
+        return [rows[i:i + n] for i in range(0, n * n, n)]
+    return rows
 
 
 def algebra_from_dict(doc: dict) -> tuple[Algebra, list[str]]:
+    """The algebra of a document, and its labels ("0" to "n-1" when it
+    gives none).  The `Algebra` constructor checks the entries."""
     n = _int_field(doc, "size", 1, 2 ** 16)
-    zero = _int_field(doc, "zero", 0, n)
-    one = _int_field(doc, "one", 0, n)
-    for field in ("join", "prod"):
+    for field in ("zero", "one", "join", "prod"):
         if field not in doc:
             raise FileFormatError(f"missing field {field!r}")
-    join = _table_field(doc, "join", n)
-    prod = _table_field(doc, "prod", n)
-    if "imp" in doc:
-        imp = _table_field(doc, "imp", n)
-    else:
-        try:
-            imp = synthesize_imp(n, join, prod)
-        except ValueError as e:
-            raise FileFormatError(f"cannot synthesize imp: {e}") from None
-
     modals = doc.get("modals", {})
     if not isinstance(modals, dict):
         raise FileFormatError("field 'modals': expected an object")
-    tables = []
-    for name, t in modals.items():
-        if not (isinstance(t, list) and len(t) == n
-                and all(isinstance(x, int) and not isinstance(x, bool)
-                        and 0 <= x < n for x in t)):
-            raise FileFormatError(
-                f"field 'modals.{name}': expected length-{n} array of "
-                f"indices")
-        tables.append(tuple(t))
     try:
         sig = ModalSignature(tuple(modals))
     except ValueError as e:
         raise FileFormatError(f"field 'modals': {e}") from None
-
-    labels = doc.get("labels", [str(i) for i in range(n)])
+    join, prod = _rows(doc["join"], n), _rows(doc["prod"], n)
+    try:
+        imp = _rows(doc["imp"], n) if "imp" in doc \
+            else synthesize_imp(n, join, prod)
+        A = Algebra(n, join, prod, imp, doc["zero"], doc["one"], sig,
+                    tuple(modals.values()))
+    except ValueError as e:
+        raise FileFormatError(str(e)) from None
+    if "labels" not in doc:
+        return A, [str(i) for i in range(n)]
+    labels = doc["labels"]
     if not (isinstance(labels, list) and len(labels) == n
             and all(isinstance(s, str) for s in labels)):
         raise FileFormatError(f"field 'labels': expected {n} strings")
     if len(set(labels)) != n:
         raise FileFormatError("field 'labels': labels must be distinct")
-    return (Algebra(n, join, prod, imp, zero, one, sig, tuple(tables)),
-            list(labels))
+    return A, list(labels)
 
 
 def load_algebra(path) -> tuple[Algebra, list[str]]:
@@ -143,8 +124,7 @@ def load_function(path) -> FiniteFunction:
     arity = _int_field(doc, "arity", 1, 2 ** 8)
     table = doc.get("table")
     if not (isinstance(table, list)
-            and all(isinstance(x, int) and not isinstance(x, bool)
-                    for x in table)):
+            and list(map(type, table)).count(int) == len(table)):
         raise FileFormatError(f"{path}: field 'table': expected a flat "
                               "integer list")
     try:

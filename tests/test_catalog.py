@@ -2,6 +2,7 @@ import itertools
 import json
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -451,6 +452,33 @@ def test_catalog_loads_checks_the_flags():
                          + lines[number:])
         with pytest.raises(ValueError, match=f"^line {number}: {message}"):
             catalog_loads(text)
+
+
+def test_catalog_loads_checks_the_tables():
+    lines = (DATA / "cat3_m.cat").read_text().splitlines()
+    number = len(lines)
+    assert json.loads(lines[-1])["size"] == 3
+    for field in ("join", "prod", "imp", "modals.m1"):
+        for value in ("1", 1.5, True, -1):
+            bad = json.loads(lines[-1])
+            if field == "modals.m1":
+                bad["modals"]["m1"][1], position = value, 1
+            else:
+                bad[field][1][1], position = value, 4
+            text = "\n".join(lines[:-1] + [json.dumps(bad)])
+            message = (f"line {number}: {field} table, entry {position}: "
+                       f"{value!r} is not an integer in [0,3)")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                catalog_loads(text)
+    # a size-1 record with "size": true would read as size 1
+    trivial = json.loads(lines[1])
+    assert trivial["size"] == 1
+    text = "\n".join([lines[0], json.dumps(dict(trivial, size=True))]
+                     + lines[2:])
+    with pytest.raises(ValueError, match="^line 2: field 'size': expected "
+                                         "an integer in \\[1,65536\\), "
+                                         "got True$"):
+        catalog_loads(text)
 
 
 def test_catalog_loads_names_the_bad_line():

@@ -317,6 +317,30 @@ def test_entails_bad_catalog_exits_2(tmp_path):
         assert main(["entails", "--catalog", str(bad), "v0 -> v0 = 1"]) == 2
 
 
+def test_entails_catalog_with_bad_table_entry_exits_2(capsys, tmp_path):
+    lines = (DATA / "cat3.cat").read_text().splitlines()
+    for value in (1.5, True, "1", -1):
+        rec = json.loads(lines[-1])
+        rec["join"][1][1] = value
+        bad = tmp_path / "bad_entry.cat"
+        bad.write_text("\n".join(lines[:-1] + [json.dumps(rec)]) + "\n")
+        assert main(["entails", "--catalog", str(bad), "v0 -> v0 = 1"]) == 2
+        assert f"line {len(lines)}: join table, entry 4: {value!r} " \
+            in capsys.readouterr().err
+
+
+def test_out_of_range_function_entry_exits_2(capsys, tmp_path):
+    fn = tmp_path / "bad.fn"
+    for table in ([0, 7, 2], [0, -1, 2]):
+        fn.write_text(json.dumps({"arity": 1, "table": table}))
+        runs = [["compatible", DATA / "g3.alg", "--fn", fn, "--route", route]
+                for route in ("all", "direct", "blocks", "lambda")]
+        for argv in runs + [["laf", DATA / "g3.alg", "--fn", fn]]:
+            assert main([str(a) for a in argv]) == 2, argv
+            assert f"function table, entry 1: {table[1]} not in [0,3)" \
+                in capsys.readouterr().err, argv
+
+
 def test_empty_catalog_exits_2(capsys, tmp_path):
     header = json.loads((DATA / "cat3_m.cat").read_text().splitlines()[0])
     header["count"] = 0

@@ -4,7 +4,8 @@ import random
 import pytest
 from ririg.catalog import enumerate_ririgs
 from ririg.compat import FiniteFunction, agreement_sweep, \
-    all_unary_functions, compat_witness_kary, compat_witness_lambda, \
+    all_unary_functions, check_size, compat_witness_kary, \
+    compat_witness_lambda, \
     is_compatible_direct, laf_representation, random_function, slot_function
 from ririg.filters import _lambda_witness, _shortest_product_below, \
     generate_filter
@@ -24,6 +25,19 @@ def test_finite_function_call_and_size():
     assert f(1, 2) == 5
     with pytest.raises(ValueError):
         FiniteFunction(2, (0, 1, 2))
+
+
+@pytest.mark.parametrize("table,message", [
+    ((0, 7, 2), r"^function table, entry 1: 7 not in \[0,3\)$"),
+    ((0, 2, -1), r"^function table, entry 2: -1 not in \[0,3\)$"),
+])
+def test_entries_outside_the_algebra_are_refused(G3I, table, message):
+    # FiniteFunction takes any integers; acting on A needs them in range
+    f = FiniteFunction(1, table)
+    for decide in (check_size, is_compatible_direct, compat_witness_kary,
+                   compat_witness_lambda):
+        with pytest.raises(ValueError, match=message):
+            decide(G3I, f)
 
 
 def test_direct_examples(G3I):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ririg.core import EMPTY_SIGNATURE, Algebra, ModalSignature, \
@@ -116,6 +118,9 @@ def test_from_join_prod_synthesizes_imp():
     ((0, 2),),                   # wrong length
     ((0, 1, 3),),                # entry out of range
     ((0, -1, 2),),
+    ((0, True, 2),),             # a bool, float or str is not an entry
+    ((0, 1.0, 2),),
+    ((0, "1", 2),),
 ])
 def test_with_modals_rejects_what_the_constructor_rejects(tables):
     G, sig = g3(), ModalSignature(("m",))
@@ -124,6 +129,25 @@ def test_with_modals_rejects_what_the_constructor_rejects(tables):
     with pytest.raises(ValueError) as expanded:
         G.with_modals(sig, tables)
     assert str(expanded.value) == str(built.value)
+
+
+@pytest.mark.parametrize("value", ["1", 1.5, 1.0, True, -1, 3])
+@pytest.mark.parametrize("name", ["join", "prod", "imp"])
+def test_constructor_names_the_first_bad_entry(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} table, entry 4: "
+                       rf"{re.escape(repr(value))} is not an integer in "
+                       rf"\[0,3\)$"):
+        altered(g3(), name, 1, 1, value)
+
+
+def test_constructor_refuses_non_integer_size_zero_and_one():
+    G = g3()
+    with pytest.raises(ValueError, match="^size True is not a positive"):
+        Algebra(True, ((0,),), ((0,),), ((0,),), 0, 0)
+    with pytest.raises(ValueError, match=r"^zero False is not an integer"):
+        Algebra(G.size, G.join, G.prod, G.imp, False, G.one)
+    with pytest.raises(ValueError, match=r"^one 2.0 is not an integer"):
+        Algebra(G.size, G.join, G.prod, G.imp, G.zero, 2.0)
 
 
 def test_deepcopy_shares_the_tables(catalog4):

@@ -1,15 +1,18 @@
+import gzip
 import json
 import pathlib
 
 import pytest
 
-from ririg.catalog import canonical_form
+from ririg.catalog import canonical_form, catalog_build, catalog_load, \
+    catalog_loads
 from ririg.files import FileFormatError, algebra_from_dict, algebra_to_dict, \
     load_algebra, load_function, save_algebra, save_function
 from ririg.fixtures import g3_delta, luk3
-from ririg.compat import FiniteFunction
+from ririg.compat import FiniteFunction, check_size
 
-DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DATA = ROOT / "data"
 
 
 def test_load_fixture_files():
@@ -65,6 +68,51 @@ def test_missing_table_entry_position():
     with pytest.raises(FileFormatError) as e:
         algebra_from_dict(doc)
     assert "entry 8" in str(e.value)
+
+
+def test_bad_entry_without_imp_is_named():
+    # the entries are checked before imp is synthesized from join and prod
+    doc = algebra_to_dict(luk3())
+    del doc["imp"]
+    doc["join"][2][2] = 2.0
+    with pytest.raises(FileFormatError, match=r"^join table, entry 8: 2.0 "
+                                              r"is not an integer in \[0,3\)$"):
+        algebra_from_dict(doc)
+    doc = algebra_to_dict(luk3())
+    del doc["imp"]
+    doc["prod"] = [x for row in doc["prod"] for x in row]
+    doc["prod"][5] = "1"
+    with pytest.raises(FileFormatError, match=r"^prod table, entry 5: '1' "):
+        algebra_from_dict(doc)
+
+
+def test_shipped_inputs_load():
+    """Every algebra, function and catalog file under data/ loads through
+    the public loaders, and the benchmark's shipped catalogs equal their
+    builds entry for entry: the decoders accept every file we ship."""
+    G3, _ = load_algebra(DATA / "g3.alg")
+    algebras, functions = sorted(DATA.glob("*.alg")), sorted(DATA.glob("*.fn"))
+    catalogs = sorted(DATA.glob("*.cat"))
+    assert len(algebras) == 5 and len(functions) == 2 and len(catalogs) == 6
+    for path in algebras:
+        load_algebra(path)
+    for path in functions:      # the function files act on g3
+        check_size(G3, load_function(path))
+    for path in catalogs:
+        catalog_load(path)
+    shipped = sorted((ROOT / "bench" / "inputs").glob("catalog-*.cat.gz"))
+    assert [p.name for p in shipped] == ["catalog-4-2.cat.gz",
+                                         "catalog-5-1.cat.gz"]
+    for path in shipped:
+        max_size, modals = map(int, path.name[8:-7].split("-"))
+        with gzip.open(path, "rt") as fh:
+            loaded = catalog_loads(fh.read())
+        built = catalog_build(max_size, modals)
+        assert (loaded.max_size, loaded.modals, loaded.constraints) \
+            == (built.max_size, built.modals, built.constraints)
+        assert len(loaded.entries) == len(built.entries)
+        for got, want in zip(loaded.entries, built.entries):
+            assert got == want
 
 
 def test_json_error_carries_line(tmp_path):
