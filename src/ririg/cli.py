@@ -20,8 +20,8 @@ from . import filters as fl
 from . import terms as tm
 from .core import validate_ririg
 from .files import FileFormatError, load_algebra, load_function
-from .logic import CATALOG_CAVEAT, check_proof, lddt_witness, \
-    parse_proof, semantic_entails, soundness_check
+from .logic import CATALOG_CAVEAT, ENTAILMENT_VALUATION_CAP, check_proof, \
+    lddt_witness, parse_proof, semantic_entails, soundness_check
 from .modal import format_block, validate_modal
 from .parsing import ParseError, format_term, parse_equation, parse_formula
 
@@ -333,7 +333,10 @@ def cmd_si(args):
     decision, b = fl.is_subdirectly_irreducible(A)
     if decision:
         return OK, {"subdirectly-irreducible": True, "witness": labels[b]}
-    nontrivial = [F for F in fl.all_ifilters(A) if len(F) > 1]
+    # every filter of an I-modal ririg is principal; sorted as all_ifilters
+    filters = {fl.generate_filter(A, {a}) for a in range(A.size)}
+    nontrivial = sorted((F for F in filters if len(F) > 1),
+                        key=lambda F: (len(F), sorted(F)))
     return FAIL, {
         "subdirectly-irreducible": False,
         "witness": {
@@ -770,7 +773,10 @@ def _build_parser() -> argparse.ArgumentParser:
             witness)
     p.add_argument("--catalog")
     p.add_argument("--assume", action="append", metavar="EQUATION")
-    p.add_argument("--valuation-cap", type=int, default=4096)
+    p.add_argument("--valuation-cap", type=int,
+                   default=ENTAILMENT_VALUATION_CAP,
+                   help="most valuations scanned per algebra (default "
+                        f"{ENTAILMENT_VALUATION_CAP})")
     p.add_argument("goal", metavar="EQUATION")
     p = add("lddt", cmd_lddt, "local deduction witness search")
     p.add_argument("--catalog")

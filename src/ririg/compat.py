@@ -41,7 +41,8 @@ DEFAULT_SEED = 0x161
 @dataclass(frozen=True)
 class FiniteFunction:
     """A total k-ary map on indices, stored as a flat row-major table
-    (last argument varies fastest)."""
+    (last argument varies fastest).  Only an `int` is an entry; whether
+    the entries lie in an algebra is `check_size`'s question."""
 
     arity: int
     table: tuple[int, ...]
@@ -49,7 +50,13 @@ class FiniteFunction:
     def __post_init__(self):
         if self.arity < 1:
             raise ValueError("arity must be >= 1")
-        object.__setattr__(self, "table", tuple(int(x) for x in self.table))
+        table = tuple(self.table)
+        types = list(map(type, table))
+        if types.count(int) != len(table):
+            pos = next(pos for pos, t in enumerate(types) if t is not int)
+            raise ValueError(f"function table, entry {pos}: {table[pos]!r} "
+                             "is not an integer")
+        object.__setattr__(self, "table", table)
         n = round(len(self.table) ** (1 / self.arity))
         for cand in (n - 1, n, n + 1):
             if cand >= 1 and cand ** self.arity == len(self.table):

@@ -12,7 +12,9 @@ each query runs once per distinct reduct of the catalog (size, join, prod,
 imp, constants and the tables of the modals it names), on the first
 algebra of that reduct.  The reducts and the shared signature live in one
 index per catalog, kept while the same sequence holds the same algebra
-objects (checked by identity on every call).
+objects (checked by identity on every call).  A deduction-witness search
+tries its candidates in a fixed order, each distinct candidate once, and
+stops at the first that holds.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ Formula = Term
 
 CATALOG_CAVEAT = ("entailment judged over a finite catalog: countermodels "
                   "refute, positive answers certify the catalog only")
+
+# the most valuations per algebra that an entailment query scans; an
+# algebra with more raises ValueError
+ENTAILMENT_VALUATION_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +89,9 @@ def _match(pattern, formula, binding: dict) -> bool:
             return True
         case Var(_) | Const(_):
             return pattern == formula
-        case Imp(pl, pr):
-            return (isinstance(formula, Imp) and _match(pl, formula.lhs, binding)
-                    and _match(pr, formula.rhs, binding))
-        case Join(pl, pr):
-            return (isinstance(formula, Join) and _match(pl, formula.lhs, binding)
-                    and _match(pr, formula.rhs, binding))
-        case Prod(pl, pr):
-            return (isinstance(formula, Prod) and _match(pl, formula.lhs, binding)
+        case Imp(pl, pr) | Join(pl, pr) | Prod(pl, pr):
+            return (type(formula) is type(pattern)
+                    and _match(pl, formula.lhs, binding)
                     and _match(pr, formula.rhs, binding))
         case ModalApp(name, arg):
             return (isinstance(formula, ModalApp) and formula.name == name
@@ -123,12 +124,9 @@ def instantiate(pattern, binding: dict) -> Formula:
             return binding[name]
         case Var(_) | Const(_):
             return pattern
-        case Imp(l, r):
-            return Imp(instantiate(l, binding), instantiate(r, binding))
-        case Join(l, r):
-            return Join(instantiate(l, binding), instantiate(r, binding))
-        case Prod(l, r):
-            return Prod(instantiate(l, binding), instantiate(r, binding))
+        case Imp(l, r) | Join(l, r) | Prod(l, r):
+            return type(pattern)(instantiate(l, binding),
+                                 instantiate(r, binding))
         case ModalApp(name, a):
             return ModalApp(name, instantiate(a, binding))
     raise TypeError(f"bad pattern {pattern!r}")
@@ -349,10 +347,7 @@ def tau(formula: Formula) -> frozenset[Equation]:
 
 
 def tau_set(formulas) -> frozenset[Equation]:
-    out: frozenset[Equation] = frozenset()
-    for f in formulas:
-        out |= tau(f)
-    return out
+    return frozenset(Equation(f, Const(1)) for f in formulas)
 
 
 def rho(eq: Equation) -> frozenset[Formula]:
@@ -425,7 +420,7 @@ def _sequence(catalog):
 
 
 def semantic_entails(catalog, premises, goal: Equation,
-                     cap: int | None = 4096):
+                     cap: int | None = ENTAILMENT_VALUATION_CAP):
     """(holds, countermodel): in every catalog algebra, every valuation
     satisfying all premise equations satisfies the goal.  The countermodel
     is (algebra, valuation): the first algebra in catalog order with one,
@@ -458,7 +453,8 @@ def semantic_entails(catalog, premises, goal: Equation,
     return True, None
 
 
-def soundness_check(proof: Proof, catalog, cap: int | None = 4096) -> bool:
+def soundness_check(proof: Proof, catalog,
+                    cap: int | None = ENTAILMENT_VALUATION_CAP) -> bool:
     """A checked proof must be semantically valid over any catalog; False
     is a bug certificate for the checker or the evaluator."""
     catalog = _sequence(catalog)
@@ -467,7 +463,7 @@ def soundness_check(proof: Proof, catalog, cap: int | None = 4096) -> bool:
         raise ValueError(f"proof does not check: line {result.bad_line}: "
                          f"{result.reason}")
     holds, _ = semantic_entails(catalog, tau_set(proof.hypotheses),
-                                next(iter(tau(proof.conclusion()))), cap)
+                                Equation(proof.conclusion(), Const(1)), cap)
     return holds
 
 
@@ -480,7 +476,6 @@ class LddtWitness:
     candidate: Formula
     certificate: str
     lam_exponent: Optional[int] = None
-    attached_proof: Optional[Proof] = None
 
 
 def _product_formula(factors) -> Formula:
@@ -503,69 +498,47 @@ def lambda_formula(sig: ModalSignature, formula: Formula) -> Formula:
 def lddt_witness(gamma, delta, psi: Formula, catalog,
                  block_len_bound: int = 2, product_bound: int = 2,
                  lambda_mode: bool = False, max_exponent: int = 4,
-                 cap: int | None = 4096,
-                 attach_proof: Optional[Proof] = None
+                 cap: int | None = ENTAILMENT_VALUATION_CAP
                  ) -> Optional[LddtWitness]:
     """Search factor lists making `product -> psi` follow from gamma over
     the catalog.
 
     Factors are block applications of members of delta (repetition
     allowed); in lambda mode a single shared iteration exponent replaces
-    the block choice.  Exhausting the bounds yields None, which is not a
-    disproof.  A caller-supplied proof is attached to the witness after
-    being checked against the found candidate formula.
+    the block choice.  The candidates come in levels: block mode has one,
+    every block applied to every member of delta; lambda mode has one per
+    exponent l, each member iterated l times.  They are tried in order
+    (level, number of factors, `combinations_with_replacement` order),
+    each distinct candidate once.  Exhausting the bounds yields None,
+    which is not a disproof.
     """
     catalog = _sequence(catalog)
     sig = _catalog_index(catalog).sig
-    gamma = list(gamma)
     delta = list(delta)
     premises = tau_set(gamma)
-
-    def try_candidate(factor_formulas):
-        candidate = Imp(_product_formula(factor_formulas), psi)
-        holds, _ = semantic_entails(catalog, premises,
-                                    next(iter(tau(candidate))), cap)
-        return candidate if holds else None
-
-    def finish(factors, candidate, lam_exponent=None):
-        certificate = _certificate(catalog, candidate)
-        proof = None
-        if attach_proof is not None:
-            usable = (check_proof(attach_proof, sig).ok
-                      and attach_proof.conclusion() == candidate
-                      and set(attach_proof.hypotheses) <= set(gamma))
-            if usable:
-                proof = attach_proof
-                certificate += "; attached derivation checked"
-            else:
-                certificate += "; attached derivation REJECTED"
-        return LddtWitness(factors, candidate, certificate,
-                           lam_exponent=lam_exponent, attached_proof=proof)
-
     if lambda_mode:
-        for l in range(max_exponent + 1):
-            def iterate(f, l=l):
-                for _ in range(l):
-                    f = lambda_formula(sig, f)
-                return f
-            for count in range(product_bound + 1):
-                for combo in itertools.combinations_with_replacement(
-                        delta, count):
-                    candidate = try_candidate([iterate(d) for d in combo])
-                    if candidate is not None:
-                        factors = tuple(((), d) for d in combo)
-                        return finish(factors, candidate, lam_exponent=l)
-        return None
-
-    blocks = [tuple(b) for b in enumerate_blocks(sig, block_len_bound)]
-    pairs = [(M, d) for M in blocks for d in delta]
-    for count in range(product_bound + 1):
-        for combo in itertools.combinations_with_replacement(pairs, count):
-            factor_formulas = [_apply_block_formula(sig, M, d)
-                               for M, d in combo]
-            candidate = try_candidate(factor_formulas)
-            if candidate is not None:
-                return finish(tuple(combo), candidate)
+        levels = [(0, [(((), d), d) for d in delta])]
+        for l in range(1, max_exponent + 1):
+            levels.append((l, [(factor, lambda_formula(sig, f))
+                               for factor, f in levels[-1][1]]))
+    else:
+        levels = [(None, [((M, d), _apply_block_formula(sig, M, d))
+                          for M in enumerate_blocks(sig, block_len_bound)
+                          for d in delta])]
+    tried = set()
+    for lam_exponent, level in levels:
+        for count in range(product_bound + 1):
+            for combo in itertools.combinations_with_replacement(level,
+                                                                 count):
+                candidate = Imp(_product_formula([f for _, f in combo]), psi)
+                if candidate in tried:
+                    continue
+                tried.add(candidate)
+                if semantic_entails(catalog, premises,
+                                    Equation(candidate, Const(1)), cap)[0]:
+                    return LddtWitness(
+                        tuple(factor for factor, _ in combo), candidate,
+                        _certificate(catalog, candidate), lam_exponent)
     return None
 
 

@@ -6,7 +6,7 @@ import pytest
 from ririg.catalog import catalog_load
 from ririg.cli import main
 from ririg.files import load_algebra, save_algebra
-from ririg.fixtures import direct_product
+from ririg.fixtures import b2_pair, b2_pair_with_identity, direct_product
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 PROOFS = pathlib.Path(__file__).resolve().parents[1] / "proofs"
@@ -84,6 +84,19 @@ def test_simple_and_si(capsys):
     assert code == 0 and rep["reproduced"] is True
     code, report = run_json(capsys, "si", DATA / "g3id.alg")
     assert code == 0 and report["witness"] == "a"
+
+
+@pytest.mark.parametrize("build", [b2_pair, b2_pair_with_identity])
+def test_si_lists_the_minimal_filters(capsys, tmp_path, build):
+    path = tmp_path / "b2b2.alg"
+    save_algebra(build(), path)
+    code, report = run_json(capsys, "si", path)
+    assert code == 1
+    assert report["witness"] == {"elements": ["0", "1", "2"],
+                                 "minimal-filters": ["{1,3}", "{2,3}"]}
+    code, out = run(capsys, "si", path)
+    assert code == 1
+    assert "minimal-filters:\n    - {1,3}\n    - {2,3}\n" in out
 
 
 def test_classify(capsys):

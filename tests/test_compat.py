@@ -28,6 +28,16 @@ def test_finite_function_call_and_size():
 
 
 @pytest.mark.parametrize("table,message", [
+    ((0, 1.5, 2), r"^function table, entry 1: 1\.5 is not an integer$"),
+    ((True, 0), r"^function table, entry 0: True is not an integer$"),
+    (("1", 0), r"^function table, entry 0: '1' is not an integer$"),
+])
+def test_finite_function_refuses_non_integer_entries(table, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteFunction(1, table)
+
+
+@pytest.mark.parametrize("table,message", [
     ((0, 7, 2), r"^function table, entry 1: 7 not in \[0,3\)$"),
     ((0, 2, -1), r"^function table, entry 2: -1 not in \[0,3\)$"),
 ])

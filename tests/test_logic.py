@@ -1,17 +1,20 @@
 import copy
+import importlib.util
+import itertools
 import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ririg import logic
 from ririg.catalog import catalog_build, catalog_load
 from ririg.fixtures import b2, g3
 from ririg.logic import Ax, Hyp, JoinElim, MP, Nec, Proof, ProofLine, \
-    check_proof, lambda_formula, lddt_witness, match_schema, \
-    parse_justification, parse_proof, rho, semantic_entails, \
+    _certificate, check_proof, format_proof, lambda_formula, lddt_witness, \
+    match_schema, parse_justification, parse_proof, rho, semantic_entails, \
     soundness_check, tau, tau_set
-from ririg.modal import ModalSignature, format_block
+from ririg.modal import ModalSignature, enumerate_blocks, format_block
 from ririg.parsing import format_term, parse_equation, parse_formula
 from ririg.terms import BOT, TOP, Const, Equation, Imp, Join, ModalApp, \
     Prod, Var, eval_term, modal_names_of, valuations, variables_of
@@ -116,6 +119,19 @@ def test_proof_corpus_checks_and_is_sound(catalog3_modal):
         assert result.ok, (name, result)
         assert format_term(proof.conclusion()) == conclusion
         assert soundness_check(proof, catalog3_modal)
+
+
+def test_proof_corpus_regenerates():
+    # scripts/make_proofs.py loaded by path; its main(), which writes, is
+    # not run
+    path = PROOFS_DIR.parent / "scripts" / "make_proofs.py"
+    spec = importlib.util.spec_from_file_location("make_proofs", path)
+    make_proofs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_proofs)
+    for name, build in make_proofs.PROOFS.items():
+        assert format_proof(build()) == (PROOFS_DIR / name).read_text(), name
+    assert {p.name for p in PROOFS_DIR.glob("*.prf")} \
+        == set(make_proofs.PROOFS)
 
 
 def test_proof_file_errors():
@@ -341,20 +357,103 @@ def test_lddt_lambda_mode(catalog3_modal):
     assert w.lam_exponent == 0
 
 
-def test_lddt_attached_proof(catalog3_modal):
-    # m1(v0) -> m1(v0) derived as an instance of the identity axiom
-    candidate_proof = Proof(
-        (), (ProofLine(Imp(ModalApp("m1", P), ModalApp("m1", P)),
-                       Ax("ax1")),))
-    w = lddt_witness([], [P], ModalApp("m1", P), catalog3_modal,
-                     attach_proof=candidate_proof)
-    assert w.attached_proof == candidate_proof
-    assert "attached derivation checked" in w.certificate
-    wrong = Proof((), (ProofLine(Imp(P, P), Ax("ax1")),))
-    w = lddt_witness([], [P], ModalApp("m1", P), catalog3_modal,
-                     attach_proof=wrong)
-    assert w.attached_proof is None
-    assert "REJECTED" in w.certificate
+def _reference_lddt(gamma, delta, psi, catalog, block_len_bound=2,
+                    product_bound=2, lambda_mode=False, max_exponent=4):
+    """The deduction-witness search as two loops, block mode and lambda
+    mode, each candidate tried at every turn it comes up: the oracle of
+    lddt_witness's answers."""
+    sig = catalog[0].sig
+    premises = tau_set(gamma)
+
+    def holds(factor_formulas):
+        product = factor_formulas[0] if factor_formulas else Const(1)
+        for f in factor_formulas[1:]:
+            product = Prod(product, f)
+        candidate = Imp(product, psi)
+        return candidate, semantic_entails(
+            catalog, premises, Equation(candidate, Const(1)))[0]
+
+    def witness(factors, candidate, lam_exponent=None):
+        return (factors, candidate, _certificate(catalog, candidate),
+                lam_exponent)
+
+    if lambda_mode:
+        for l in range(max_exponent + 1):
+            def iterate(f):
+                for _ in range(l):
+                    f = lambda_formula(sig, f)
+                return f
+            for count in range(product_bound + 1):
+                for combo in itertools.combinations_with_replacement(
+                        delta, count):
+                    candidate, ok = holds([iterate(d) for d in combo])
+                    if ok:
+                        return witness(tuple(((), d) for d in combo),
+                                       candidate, l)
+        return None
+    pairs = [(M, d) for M in enumerate_blocks(sig, block_len_bound)
+             for d in delta]
+    for count in range(product_bound + 1):
+        for combo in itertools.combinations_with_replacement(pairs, count):
+            applied = []
+            for M, d in combo:
+                for i in reversed(M):
+                    d = ModalApp(sig.names[i], d)
+                applied.append(d)
+            candidate, ok = holds(applied)
+            if ok:
+                return witness(combo, candidate)
+    return None
+
+
+def _lddt_cases(sig):
+    """(gamma, delta, psi) triples over the first modal of `sig`."""
+    m = sig.names[0]
+    return [([], [P], ModalApp(m, P)), ([], [P, Q], Prod(P, Q)),
+            ([Imp(P, Q)], [P], Q), ([], [P], Q), ([], [], P),
+            ([], [P, P], Prod(P, P)), ([], [P], Prod(P, P)),
+            ([ModalApp(m, P)], [P], ModalApp(m, ModalApp(m, P))),
+            ([], [Join(P, Q)], Join(Q, P)), ([], [P], Const(1))]
+
+
+def test_lddt_matches_the_two_loop_search(catalog3_modal):
+    for catalog in (catalog3_modal, catalog_build(4, 1).algebras(),
+                    catalog_build(3, 2).algebras()):
+        for gamma, delta, psi in _lddt_cases(catalog[0].sig):
+            runs = [{"block_len_bound": b, "product_bound": p}
+                    for b in range(3) for p in range(3)]
+            runs += [{"lambda_mode": True, "product_bound": p,
+                      "max_exponent": e} for p in range(3) for e in range(3)]
+            for kwargs in runs:
+                w = lddt_witness(gamma, delta, psi, catalog, **kwargs)
+                got = None if w is None else (w.factors, w.candidate,
+                                              w.certificate, w.lam_exponent)
+                assert got == _reference_lddt(gamma, delta, psi, catalog,
+                                              **kwargs), (psi, kwargs)
+
+
+def test_lddt_tries_each_candidate_once(monkeypatch):
+    goals = []
+    entails = logic.semantic_entails
+
+    def spy(catalog, premises, goal, cap):
+        goals.append(goal)
+        return entails(catalog, premises, goal, cap)
+
+    monkeypatch.setattr(logic, "semantic_entails", spy)
+    for modals, calls in ((1, 11), (0, 3)):
+        goals.clear()
+        assert lddt_witness([], [P], Q, catalog_build(3, modals).algebras(),
+                            lambda_mode=True) is None
+        assert len(goals) == len(set(goals)) == calls
+    for catalog in (catalog_build(3, 1).algebras(),
+                    catalog_build(3, 2).algebras()):
+        for gamma, delta, psi in _lddt_cases(catalog[0].sig):
+            for lambda_mode in (False, True):
+                goals.clear()
+                lddt_witness(gamma, delta, psi, catalog,
+                             lambda_mode=lambda_mode)
+                assert len(goals) == len(set(goals))
 
 
 def test_lddt_bound_exhaustion_returns_none(catalog3_modal):
